@@ -12,10 +12,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import Counter
 from pathlib import Path
 
 from .distortion import format_exact, vertex_distortion
-from .explorer import classify_distortion_one, enumerate_conformations
+from .explorer import classify_distortion_one, conformation_counts
 from .io import (
     dump_tabulation_json,
     knot_to_json,
@@ -173,28 +174,22 @@ def cmd_survey(args: argparse.Namespace) -> int:
 def cmd_enumerate(args: argparse.Namespace) -> int:
     if args.classify:
         survivors = classify_distortion_one(args.max_length, args.cap)
-        counts: dict[int, int] = {}
-        for K in survivors:
-            counts[K.edge_length] = counts.get(K.edge_length, 0) + 1
+        counts = Counter(K.edge_length for K in survivors)
         print("edge_length,distortion_one_count")
-        for length in range(4, args.max_length + 1, 2):
-            print(f"{length},{counts.get(length, 0)}")
-        if args.golden_dir is not None:
-            out_dir = Path(args.golden_dir)
-            out_dir.mkdir(parents=True, exist_ok=True)
-            index: dict[int, int] = {}
-            for K in survivors:
-                n = index.get(K.edge_length, 0)
-                index[K.edge_length] = n + 1
-                name = f"distortion_one_len{K.edge_length:02d}_{n}.csv"
-                (out_dir / name).write_text(knot_to_vertex_csv(K))
-        return 0
-    counts = {}
-    for K in enumerate_conformations(args.max_length, args.cap):
-        counts[K.edge_length] = counts.get(K.edge_length, 0) + 1
-    print("edge_length,conformations")
+    else:
+        counts = conformation_counts(args.max_length, args.cap)
+        print("edge_length,conformations")
     for length in range(4, args.max_length + 1, 2):
         print(f"{length},{counts.get(length, 0)}")
+    if args.classify and args.golden_dir is not None:
+        out_dir = Path(args.golden_dir)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        index: dict[int, int] = {}
+        for K in survivors:
+            n = index.get(K.edge_length, 0)
+            index[K.edge_length] = n + 1
+            name = f"distortion_one_len{K.edge_length:02d}_{n}.csv"
+            (out_dir / name).write_text(knot_to_vertex_csv(K))
     return 0
 
 

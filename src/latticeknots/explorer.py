@@ -20,7 +20,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from .distortion import check_distortion_one_structure, vertex_distortion
+from .distortion import (
+    PreconditionFailed,
+    check_distortion_one_structure,
+    vertex_distortion,
+)
 from .knot import LatticeKnot, StickType
 from .lattice import ISOMETRIES, Point
 from .reduction import (
@@ -163,9 +167,10 @@ def classify_distortion_one(max_edge_length: int, cap: int = 16) -> list[Lattice
     """
     survivors = []
     for K in enumerate_conformations(max_edge_length, cap):
-        if vertex_distortion(K).value != 1:
+        try:
+            report = check_distortion_one_structure(K)
+        except PreconditionFailed:
             continue
-        report = check_distortion_one_structure(K)
         if not report.ok:
             raise AssertionError(
                 f"distortion-one conformation violates structure: {report}"

@@ -38,6 +38,15 @@ def tabulation_to_dict(
     return out
 
 
+def _is_int(value: Any) -> bool:
+    # bool subclasses int, but JSON true/false is not a length or coordinate
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_int_list(value: Any) -> bool:
+    return isinstance(value, list) and all(_is_int(v) for v in value)
+
+
 def dict_to_tabulation(data: Any) -> tuple[Tabulation, Point, int | None]:
     """Parse the JSON object form; returns (tabulation, origin, torus tag)."""
     if not isinstance(data, dict):
@@ -45,6 +54,8 @@ def dict_to_tabulation(data: Any) -> tuple[Tabulation, Point, int | None]:
     for key in ("types", "lengths"):
         if key not in data:
             raise ValueError(f"tabulation JSON lacks the {key!r} key")
+    if not isinstance(data["types"], list):
+        raise ValueError("'types' must be a list of stick types")
     types = [StickType.parse(t) for t in data["types"]]
     lengths = data["lengths"]
     if not isinstance(lengths, dict):
@@ -52,15 +63,15 @@ def dict_to_tabulation(data: Any) -> tuple[Tabulation, Point, int | None]:
     columns = []
     for name in ("x", "y", "z"):
         column = lengths.get(name, [])
-        if not all(isinstance(v, int) for v in column):
-            raise ValueError(f"'lengths.{name}' must hold integers")
+        if not _is_int_list(column):
+            raise ValueError(f"'lengths.{name}' must be a list of integers")
         columns.append(tuple(column))
     origin_raw = data.get("origin", [0, 0, 0])
-    if len(origin_raw) != 3 or not all(isinstance(v, int) for v in origin_raw):
-        raise ValueError("'origin' must be three integers")
+    if not _is_int_list(origin_raw) or len(origin_raw) != 3:
+        raise ValueError("'origin' must be a list of three integers")
     origin = (origin_raw[0], origin_raw[1], origin_raw[2])
     torus_p = data.get("torus_p")
-    if torus_p is not None and not isinstance(torus_p, int):
+    if torus_p is not None and not _is_int(torus_p):
         raise ValueError("'torus_p' must be an integer")
     tab = Tabulation(tuple(types), (columns[0], columns[1], columns[2]))
     return tab, origin, torus_p

@@ -47,16 +47,6 @@ def bfs_distances(K: LatticeKnot, source: int) -> list[int]:
     return [dist[v] for v in K.vertices]
 
 
-def all_pairs_knot_distances(K: LatticeKnot) -> list[list[int]]:
-    """Full distance table by repeated breadth-first traversal."""
-    adj = knot_graph(K)
-    out = []
-    for source in K.vertices:
-        dist = _bfs(adj, source)
-        out.append([dist[v] for v in K.vertices])
-    return out
-
-
 def vertex_distortion_oracle(
     K: LatticeKnot,
 ) -> tuple[Fraction, tuple[tuple[int, int], ...]]:

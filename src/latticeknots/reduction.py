@@ -154,21 +154,26 @@ def _static_points(K: LatticeKnot, plan: _Plan) -> dict[Point, int]:
     return static
 
 
-def _check_sweep(K: LatticeKnot, plan: _Plan, amount: int) -> None:
-    """Raise CollisionDetected if any swept cell meets a static stick.
+def _first_collision(
+    K: LatticeKnot, plan: _Plan, limit: int
+) -> tuple[int, Point, tuple[int, int]] | None:
+    """The first collision of a slide by up to ``limit``, or None if clear.
 
+    Returns ``(offset, point, (moving stick, static stick))`` for the smallest
+    offset in 1..limit at which a translating stick meets a static stick.
     Sweeping the translating sticks is the only freedom in the motion; the
     shrinking target and absorber stay inside their original segments, so
     they cannot produce new intersections on the way.
     """
     static = _static_points(K, plan)
-    for idx in plan.translating:
-        pts = K.stick_points(idx)
-        for k in range(1, amount + 1):
+    moving = [(idx, K.stick_points(idx)) for idx in plan.translating]
+    for k in range(1, limit + 1):
+        for idx, pts in moving:
             for q in pts:
                 hit = _shift(q, plan.delta, k)
                 if hit in static:
-                    raise CollisionDetected(hit, (idx, static[hit]))
+                    return k, hit, (idx, static[hit])
+    return None
 
 
 def apply_reduction(K: LatticeKnot, move: ReductionMove) -> LatticeKnot:
@@ -177,9 +182,9 @@ def apply_reduction(K: LatticeKnot, move: ReductionMove) -> LatticeKnot:
     Raises DegenerateStick when the target or the absorbing stick would
     shrink to nothing, AmountTooLarge past that, NonReducingMove when the
     geometry offers no anti-parallel absorber, and CollisionDetected (with
-    the first offending point and stick pair) when the swept cells meet the
-    rest of the knot.  On success the edge length drops by 2 * amount and
-    the stick count is unchanged.
+    the point and stick pair of the collision at the smallest offset) when
+    the swept cells meet the rest of the knot.  On success the edge length
+    drops by 2 * amount and the stick count is unchanged.
     """
     if move.amount < 1:
         raise ValueError("reduction amount must be a positive integer")
@@ -194,7 +199,9 @@ def apply_reduction(K: LatticeKnot, move: ReductionMove) -> LatticeKnot:
             raise DegenerateStick(
                 f"amount {move.amount} would eliminate stick {idx} entirely"
             )
-    _check_sweep(K, plan, move.amount)
+    collision = _first_collision(K, plan, move.amount)
+    if collision is not None:
+        raise CollisionDetected(collision[1], collision[2])
     return _rebuild(K, plan, move.amount)
 
 
@@ -215,7 +222,9 @@ def apply_extension(
     except SelfIntersection as exc:
         raise CollisionDetected(exc.point, exc.stick_indices) from exc
     reverse_plan = _plan_move(extended, stick_index, direction)
-    _check_sweep(extended, reverse_plan, amount)
+    collision = _first_collision(extended, reverse_plan, amount)
+    if collision is not None:
+        raise CollisionDetected(collision[1], collision[2])
     return extended
 
 
@@ -228,24 +237,17 @@ def max_reduction_amount(K: LatticeKnot, stick_index: int, direction: Direction)
     cap = min(K.sticks[plan.target].length, K.sticks[plan.absorber].length) - 1
     if cap < 1:
         return 0
-    static = _static_points(K, plan)
-    pts = [q for idx in plan.translating for q in K.stick_points(idx)]
-    for k in range(1, cap + 1):
-        if any(_shift(q, plan.delta, k) in static for q in pts):
-            return k - 1
-    return cap
+    collision = _first_collision(K, plan, cap)
+    return cap if collision is None else collision[0] - 1
 
 
 def is_reducible(K: LatticeKnot, stick_index: int, direction: Direction) -> bool:
     """True iff some reduction of this stick in this direction succeeds.
 
-    Sweeps are monotone in the amount, so trying the one-step move decides.
+    Every slide passes through offset one, so the one-step sweep decides;
+    no knot is built.
     """
-    try:
-        apply_reduction(K, ReductionMove(stick_index, direction, 1))
-    except ReductionError:
-        return False
-    return True
+    return max_reduction_amount(K, stick_index, direction) > 0
 
 
 @dataclass(frozen=True)

@@ -82,11 +82,6 @@ def torus_knot(p: int) -> LatticeKnot:
     return build_knot(generate_torus_tabulation(p))
 
 
-def stick_count(K: LatticeKnot) -> int:
-    """Number of maximal sticks; 6p for every generated family member."""
-    return K.stick_count
-
-
 def edge_length_formula(p: int) -> int:
     return 5 * p * p + 3 * p - 2
 

@@ -1,0 +1,29 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import latticeknots
+
+DEMOS = Path(__file__).resolve().parent.parent / "demos"
+SRC = Path(latticeknots.__file__).resolve().parent.parent
+
+
+# the two slower demos (distortion scan, census) are left to manual runs
+@pytest.mark.parametrize(
+    "demo", ["build_a_knot.py", "reduction_moves.py", "torus_family_tour.py"]
+)
+def test_demo_runs(demo, tmp_path):
+    path = filter(None, [str(SRC), os.environ.get("PYTHONPATH")])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    result = subprocess.run(
+        [sys.executable, str(DEMOS / demo)],
+        cwd=tmp_path,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr

@@ -163,6 +163,50 @@ def test_cli_validate_empty_file(capsys, tmp_path):
     assert code == 2
 
 
+SQUARE_FIELDS = (
+    '"types": ["x+", "y+", "x-", "y-"], '
+    '"lengths": {"x": [1, 1], "y": [1, 1], "z": []}'
+)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        pytest.param(
+            '{"types": ["x+", "y+", "x-", "y-"], "lengths": {"x": 5}}',
+            id="lengths-int",
+        ),
+        pytest.param(
+            '{"types": ["x+", "y+", "x-", "y-"], '
+            '"lengths": {"x": [1, 1], "y": null}}',
+            id="lengths-null",
+        ),
+        pytest.param(
+            '{"types": ["x+", "y+", "x-", "y-"], '
+            '"lengths": {"x": [true, 1], "y": [1, 1], "z": []}}',
+            id="lengths-bool",
+        ),
+        pytest.param(
+            '{"types": 5, "lengths": {"x": [1, 1], "y": [1, 1], "z": []}}',
+            id="types-int",
+        ),
+        pytest.param("{" + SQUARE_FIELDS + ', "origin": 5}', id="origin-int"),
+        pytest.param(
+            "{" + SQUARE_FIELDS + ', "origin": [true, 0, 0]}', id="origin-bool"
+        ),
+        pytest.param("{" + SQUARE_FIELDS + ', "torus_p": true}', id="torus_p-bool"),
+    ],
+)
+def test_cli_rejects_malformed_json_integers(capsys, tmp_path, text):
+    target = tmp_path / "bad.json"
+    target.write_text(text)
+    code, out, err = run_cli(capsys, "export", str(target), "--format", "csv")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
 def test_cli_validate_missing_file(capsys):
     code, _, _ = run_cli(capsys, "validate", "/no/such/file.json")
     assert code == 2

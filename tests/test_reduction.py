@@ -1,3 +1,5 @@
+from random import Random
+
 import pytest
 
 from latticeknots import (
@@ -5,18 +7,22 @@ from latticeknots import (
     CollisionDetected,
     DegenerateStick,
     Direction,
+    KnotError,
     NonReducingMove,
     ReductionError,
     ReductionMove,
     apply_extension,
     apply_reduction,
+    enumerate_conformations,
     is_irreducible,
     is_reducible,
     knot_from_vertices,
     max_reduction_amount,
+    random_lattice_knot,
     sweep_criterion_blocks,
     torus_knot,
 )
+from latticeknots.reduction import _plan_move, _rebuild
 
 
 def test_rectangle_shrinks_to_unit_square(rectangle):
@@ -151,13 +157,45 @@ def test_max_reduction_amount_consistent(rectangle):
     assert max_reduction_amount(rectangle, 1, Direction.WITH) == 0
 
 
-def test_is_reducible_matches_max_amount():
-    K = torus_knot(3)
-    for idx in range(K.stick_count):
-        for direction in Direction:
-            assert is_reducible(K, idx, direction) == (
-                max_reduction_amount(K, idx, direction) > 0
-            )
+def _max_amount_by_rebuilding(K, stick, direction):
+    """Largest a <= cap whose slides by 1..a all rebuild into simple knots."""
+    try:
+        plan = _plan_move(K, stick, direction)
+    except NonReducingMove:
+        return 0
+    cap = min(K.sticks[plan.target].length, K.sticks[plan.absorber].length) - 1
+    for k in range(1, cap + 1):
+        try:
+            _rebuild(K, plan, k)
+        except KnotError:
+            return k - 1
+    return cap
+
+
+def test_max_amount_matches_rebuild_reference():
+    # the reference revalidates every intermediate configuration through the
+    # LatticeKnot constructor instead of sweeping cells
+    rng = Random(7)
+    knots = list(enumerate_conformations(10))
+    knots += [random_lattice_knot(rng, 40) for _ in range(200)]
+    knots += [torus_knot(p) for p in range(2, 8)]
+    reducible = 0
+    for K in knots:
+        for idx in range(K.stick_count):
+            for direction in Direction:
+                expected = _max_amount_by_rebuilding(K, idx, direction)
+                assert max_reduction_amount(K, idx, direction) == expected
+                assert is_reducible(K, idx, direction) == (expected > 0)
+                reducible += expected > 0
+    assert reducible > 0
+
+
+def test_collision_reported_at_smallest_offset():
+    # (1, 2, 3) on sticks (4, 14) also blocks this move, but only at offset 2
+    with pytest.raises(CollisionDetected) as exc:
+        apply_reduction(torus_knot(3), ReductionMove(3, Direction.AGAINST, 2))
+    assert exc.value.point == (-1, 1, 2)
+    assert exc.value.stick_indices == (5, 10)
 
 
 def test_sweep_criterion_implies_simulation_failure():

@@ -12,7 +12,6 @@ from latticeknots.torus import (
     expected_x_partial_sums,
     expected_y_partial_sums,
     expected_z_partial_sums,
-    stick_count,
     verify_closure_sums,
     verify_collinearity,
     verify_partial_sums,
@@ -161,9 +160,9 @@ def test_coplanarity_needs_exactly_the_two_exclusions():
 
 
 def test_stick_counts(unit_square):
-    assert stick_count(torus_knot(3)) == 18
-    assert stick_count(torus_knot(2)) == 12
-    assert stick_count(unit_square) == 4
+    assert torus_knot(3).stick_count == 18
+    assert torus_knot(2).stick_count == 12
+    assert unit_square.stick_count == 4
 
 
 def test_structure_report_ok_through_p10():
