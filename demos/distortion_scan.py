@@ -1,8 +1,9 @@
 # Exact vertex distortion.
 #
 # The distortion of a knot is the worst ratio of knot distance (shorter arc)
-# to taxicab distance over all vertex pairs.  The scan compares ratios by
-# integer cross multiplication, so every value below is exact.
+# to taxicab distance over all vertex pairs.  The kernel works stick pair by
+# stick pair and compares ratios by integer cross multiplication, so every
+# value below is exact and its cost follows the number of sticks.
 
 from latticeknots import (
     distortion_upper_bound,
@@ -30,12 +31,12 @@ print("trefoil:", format_exact(report.value),
       "bound:", format_exact(distortion_upper_bound(trefoil)),
       "pairs:", report.realizing_pairs)
 
-# An independent check: breadth-first distances plus a hand-rolled scan.
+# An independent check: breadth-first distances plus a plain all-pairs loop.
 value, pairs = vertex_distortion_oracle(trefoil)
 print("oracle agrees:", value == report.value and pairs == report.realizing_pairs)
 
 # Across the family, the distortion grows quadratically.  Three closed forms
-# describe stretches of it; the scan decides which one is live at each p.
+# describe stretches of it; the kernel decides which one is live at each p.
 print()
 print(" p   delta      even-small   odd        even-large")
 for p in range(2, 24):

@@ -94,7 +94,7 @@ def cmd_distortion(args: argparse.Namespace) -> int:
         value, pairs = vertex_distortion_oracle(K)
         if value != report.value or pairs != report.realizing_pairs:
             print(
-                f"oracle mismatch: scan {format_exact(report.value)} vs "
+                f"oracle mismatch: kernel {format_exact(report.value)} vs "
                 f"oracle {format_exact(value)}",
                 file=sys.stderr,
             )

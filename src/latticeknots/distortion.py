@@ -2,27 +2,60 @@
 
 The distortion of a knot is the maximum over vertex pairs of the ratio
 (shorter arc length along the knot) / (taxicab distance).  Arc positions are
-vertex indices because every edge has unit length, so the scan reduces to
+vertex indices because every edge has unit length, so everything reduces to
 integer arithmetic.  All comparisons cross-multiply exact integers; no
 floating point appears anywhere in the computation.
 
-The all-pairs scan runs over int64 numpy blocks.  That stays exact as long
-as the products involved fit in 64 bits, which holds for every knot with
-fewer than 2**31 edges; larger inputs are refused rather than silently
-rounded.
+The kernel works on pairs of sticks and never walks a stick vertex by
+vertex, so its cost grows with the number of sticks, not of edges.
+
+Same or adjacent sticks.  Two vertices on one stick, or on two consecutive
+(hence perpendicular) sticks, are joined by an arc of the knot as long as
+their taxicab distance.  No arc is shorter than the taxicab distance, so
+these pairs have ratio exactly 1, and every knot has distortion at least 1.
+
+Candidates.  Take two non-adjacent sticks A and B and let s in [0, L_A] and
+t in [0, L_B] be positions along them.  The two vertices are distinct
+points on the whole closed rectangle, so the taxicab distance stays
+positive there.  Arc distance and taxicab distance are piecewise linear in
+(s, t), and every breakline has the form s = c, t = c, s + t = c or
+s - t = c with integer c: one per axis whose coordinate difference varies,
+and the lines s - t = c where the index difference wraps or reaches n/2.
+The rectangle's sides are added as lines too.  Along a row t = const the
+ratio is linear-fractional, hence monotone, between consecutive
+breakpoints, and those breakpoints are integers; so some integer maximizer
+lies on a line s = c or s +- t = c.  Along that line the ratio is again
+monotone between the points where other lines cross it.  Those crossings
+are integer points, except s + t = c against s - t = c', which may meet at a
+half-integer point.  So the integer maximum over the rectangle is attained
+at the floor or the ceiling, in each coordinate, of a pairwise intersection
+of lines (Charnes and Cooper, 1962, for the linear-fractional step).  Extra
+candidates do no harm, because each one is a real vertex pair.
+
+Pruning.  The largest arc that a stick pair's index differences allow,
+divided by the taxicab gap between the two sticks, bounds every ratio on the
+pair.  Stick pairs are visited in decreasing order of that bound, and the
+loop stops once the bound falls below the best value found.
+
+Realizing pairs.  Each vertex is owned by the stick it starts or lies
+inside of, so every vertex pair belongs to exactly one stick pair.  On a
+stick pair that reaches the maximum num/den, the realizing pairs are the
+integer points where den * arc - num * d1 = 0.  Fixing the sign of every
+varying taxicab term and the branch of the arc splits the rectangle into
+convex pieces on which that expression is linear.  Its integer zeros on a
+piece solve one linear Diophantine equation and form a run of consecutive
+parameters.  Enumeration therefore costs what it reports, not the stick
+length.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations, product
 
-import numpy as np
-
-from .knot import LatticeKnot
+from .knot import LatticeKnot, Stick
 from .lattice import Point, is_staircase, is_box_corner, l1_distance
-
-_EXACT_LIMIT = 2**31
 
 
 class PreconditionFailed(ValueError):
@@ -63,56 +96,238 @@ def distortion_upper_bound(K: LatticeKnot) -> Fraction:
     return Fraction(K.edge_length, 2)
 
 
-def vertex_distortion(K: LatticeKnot, block_size: int = 512) -> DistortionReport:
-    """Scan all unordered vertex pairs for the exact maximum ratio.
+def vertex_distortion(K: LatticeKnot) -> DistortionReport:
+    """The exact maximum ratio and every vertex pair attaining it.
 
-    Two passes over index blocks: the first records, for every occurring
-    taxicab distance, the largest arc distance seen with it; the exact
-    maximum of those candidate fractions is then the distortion, and the
-    second pass collects every pair attaining it by integer cross
-    multiplication.
+    Visits the non-adjacent stick pairs in decreasing order of their bound,
+    takes each one's maximum over its candidates and stops once no pair
+    left can reach the best value; then enumerates the realizing pairs on
+    the level lines of the stick pairs that reach it (see the module
+    docstring).  ``pair_count_scanned`` is n(n-1)/2, the vertex pairs that
+    the value covers.
     """
     n = K.edge_length
-    if n >= _EXACT_LIMIT:
-        raise ValueError(
-            f"edge length {n} exceeds the int64 exactness bound of the scan"
-        )
-    coords = np.asarray(K.vertices, dtype=np.int64)
-    all_j = np.arange(n, dtype=np.int64)
+    frames = [_stick_frame(K, stick) for stick in K.sticks]
+    m = len(frames)
+    # Two unequal bounds cap/gap differ by more than 1/n**2 (both gaps are
+    # below n), so this integer key sorts them exactly.
+    scale = n * n
+    order = []
+    for a, b in combinations(range(m), 2):
+        if b - a == 1 or b - a == m - 1:
+            continue
+        cap, gap = _pair_bound(n, frames[a], frames[b])
+        order.append((cap * scale // gap, a, b, cap, gap))
+    order.sort(reverse=True)
 
-    box = K.bounding_box()
-    max_d1 = sum(hi - lo for lo, hi in zip(box.min_corner, box.max_corner))
-    best_dk = np.full(max_d1 + 1, -1, dtype=np.int64)
+    best_num, best_den = 1, 1
+    reached = []
+    for _, a, b, cap, gap in order:
+        if cap * best_den < best_num * gap:
+            break
+        num, den = _pair_max(n, frames[a], frames[b])
+        if num * best_den > best_num * den:
+            best_num, best_den = num, den
+        reached.append((a, b, num, den))
 
-    def blocks():
-        for start in range(0, n, block_size):
-            stop = min(start + block_size, n)
-            rows = coords[start:stop]
-            d1 = np.abs(rows[:, None, :] - coords[None, :, :]).sum(axis=2)
-            diff = all_j[None, :] - np.arange(start, stop, dtype=np.int64)[:, None]
-            upper = diff > 0
-            dk = np.minimum(diff, n - diff)
-            yield start, upper, d1, dk
-
-    for _, upper, d1, dk in blocks():
-        np.maximum.at(best_dk, d1[upper], dk[upper])
-
-    value = max(
-        Fraction(int(best_dk[d1v]), d1v)
-        for d1v in range(1, max_d1 + 1)
-        if best_dk[d1v] >= 0
-    )
-
-    num = value.numerator
-    den = value.denominator
-    pairs: list[tuple[int, int]] = []
-    for start, upper, d1, dk in blocks():
-        hits = upper & (dk * den == num * d1)
-        for bi, bj in zip(*np.nonzero(hits)):
-            pairs.append((start + int(bi), int(bj)))
-    pairs.sort()
-
+    value = Fraction(best_num, best_den)
+    num, den = value.numerator, value.denominator
+    found = []
+    for a, b, pair_num, pair_den in reached:
+        if pair_num * den == num * pair_den:
+            found += _level_pairs(n, frames[a], frames[b], num, den)
+    if value == 1:
+        owned = [range(start, start + length) for start, length, *_ in frames]
+        for a in range(m):
+            found += combinations(owned[a], 2)
+            found += product(owned[a], owned[(a + 1) % m])
+    pairs = sorted({(min(i % n, j % n), max(i % n, j % n)) for i, j in found})
     return DistortionReport(value, tuple(pairs), n * (n - 1) // 2)
+
+
+def _stick_frame(K: LatticeKnot, stick: Stick) -> tuple:
+    """(start index, length, start point, unit step, box min, box max)."""
+    p = K.vertices[stick.start]
+    step = stick.type.step
+    q = tuple(c + stick.length * e for c, e in zip(p, step))
+    return (stick.start, stick.length, p, step, tuple(map(min, p, q)),
+            tuple(map(max, p, q)))
+
+
+def _arc(n: int, d: int) -> int:
+    """The shorter arc between two vertices whose indices differ by ``d``."""
+    d %= n
+    return min(d, n - d)
+
+
+def _pair_bound(n: int, fa: tuple, fb: tuple) -> tuple[int, int]:
+    """(largest arc, smallest taxicab distance) over two disjoint sticks."""
+    a0, la, _, _, lo_a, hi_a = fa
+    b0, lb, _, _, lo_b, hi_b = fb
+    d_lo, d_hi = b0 - a0 - la, b0 - a0 + lb
+    half = n // 2
+    if d_lo + (half - d_lo) % n <= d_hi:  # some d = n/2 (mod n) in range
+        cap = half
+    else:
+        cap = max(_arc(n, d_lo), _arc(n, d_hi))
+    gap = (max(0, lo_b[0] - hi_a[0], lo_a[0] - hi_b[0])
+           + max(0, lo_b[1] - hi_a[1], lo_a[1] - hi_b[1])
+           + max(0, lo_b[2] - hi_a[2], lo_a[2] - hi_b[2]))
+    return cap, gap
+
+
+def _terms(fa: tuple, fb: tuple) -> list[tuple[int, int, int]]:
+    """Per axis (alpha, beta, gamma): that coordinate of the difference
+    between the vertex at s on A and the one at t on B is
+    alpha*s + beta*t + gamma."""
+    _, _, pa, ea, _, _ = fa
+    _, _, pb, eb, _, _ = fb
+    return [(ea[x], -eb[x], pa[x] - pb[x]) for x in range(3)]
+
+
+def _pair_max(n: int, fa: tuple, fb: tuple) -> tuple[int, int]:
+    """The largest ratio (num, den) over two non-adjacent sticks."""
+    la, lb = fa[1], fb[1]
+    d0 = fb[0] - fa[0]
+    terms = _terms(fa, fb)
+    (ax, bx, cx), (ay, by, cy), (az, bz, cz) = terms
+    best_num, best_den = 0, 1
+    for s, t in _candidates(n, la, lb, d0, terms):
+        if 0 <= s <= la and 0 <= t <= lb:
+            d = (d0 + t - s) % n
+            arc = min(d, n - d)
+            d1 = (abs(ax * s + bx * t + cx) + abs(ay * s + by * t + cy)
+                  + abs(az * s + bz * t + cz))
+            if arc * best_den > best_num * d1:
+                best_num, best_den = arc, d1
+    return best_num, best_den
+
+
+def _candidates(n: int, la: int, lb: int, d0: int, terms: list) -> set:
+    """The roundings of the pairwise intersections of the stick pair's
+    breaklines and sides, some of which may fall outside its rectangle."""
+    half = n // 2
+    vert, horiz, plus, minus = {0, la}, {0, lb}, set(), set()
+    for alpha, beta, gamma in terms:
+        if beta == 0:
+            if alpha:
+                vert.add(-gamma * alpha)
+        elif alpha == 0:
+            horiz.add(-gamma * beta)
+        elif alpha == beta:
+            plus.add(-gamma * alpha)
+        else:
+            minus.add(-gamma * alpha)
+    # The arc breaks where the index difference d0 + t - s is a multiple
+    # of n/2.
+    for h in range(-((la - d0) // half), (d0 + lb) // half + 1):
+        minus.add(d0 - h * half)
+
+    cands = set()
+    for v in vert:
+        cands.update((v, h) for h in horiz)
+        cands.update((v, c - v) for c in plus)
+        cands.update((v, v - c) for c in minus)
+    for h in horiz:
+        cands.update((c - h, h) for c in plus)
+        cands.update((c + h, h) for c in minus)
+    for cp in plus:
+        for cm in minus:
+            s, t = (cp + cm) // 2, (cp - cm) // 2
+            if (cp + cm) % 2 == 0:
+                cands.add((s, t))
+            else:
+                cands.update(((s, t), (s + 1, t), (s, t + 1), (s + 1, t + 1)))
+    return cands
+
+
+def _level_pairs(
+    n: int, fa: tuple, fb: tuple, num: int, den: int
+) -> list[tuple[int, int]]:
+    """Index pairs (i owned by A, j owned by B) of ratio exactly num/den,
+    where num/den is at least every ratio on the two sticks."""
+    a0, la = fa[:2]
+    b0, lb = fb[:2]
+    d0 = b0 - a0
+    half = n // 2
+    varying = []
+    sign_choices = []
+    fixed = 0
+    for alpha, beta, gamma in _terms(fa, fb):
+        if not (alpha or beta):
+            fixed += abs(gamma)
+            continue
+        varying.append((alpha, beta, gamma))
+        # a linear term's range over the owned rectangle, from its corners
+        low = gamma + min(0, alpha * (la - 1)) + min(0, beta * (lb - 1))
+        high = gamma + max(0, alpha * (la - 1)) + max(0, beta * (lb - 1))
+        sign_choices.append((1,) if low >= 0 else (-1,) if high <= 0 else (1, -1))
+    # Each constraint (a, b, c) reads a*s + b*t + c >= 0.
+    owned = [(1, 0, 0), (-1, 0, la - 1), (0, 1, 0), (0, -1, lb - 1)]
+    found = []
+    for h in range((d0 - la + 1) // half, (d0 + lb - 1) // half + 1):
+        # On [h*n/2, (h+1)*n/2] the arc is d - h*n/2 for even h and
+        # (h+1)*n/2 - d for odd h, with d = d0 + t - s.
+        sign, offset = (1, -h * half) if h % 2 == 0 else (-1, (h + 1) * half)
+        branch = [(-1, 1, d0 - h * half), (1, -1, (h + 1) * half - d0)]
+        for signs in product(*sign_choices):
+            cons = owned + branch
+            a1, b1, c1 = 0, 0, fixed
+            for sg, (alpha, beta, gamma) in zip(signs, varying):
+                cons.append((sg * alpha, sg * beta, sg * gamma))
+                a1, b1, c1 = a1 + sg * alpha, b1 + sg * beta, c1 + sg * gamma
+            # den * arc - num * d1 as A*s + B*t + C on this piece
+            A = -den * sign - num * a1
+            B = den * sign - num * b1
+            C = den * (sign * d0 + offset) - num * c1
+            found += [(a0 + s, b0 + t) for s, t in _zeros(A, B, C, cons)]
+    return found
+
+
+def _zeros(A: int, B: int, C: int, cons: list) -> list[tuple[int, int]]:
+    """Integer (s, t) with A*s + B*t + C == 0 that meet every constraint.
+
+    ``cons`` must bound s and t on both sides.  A == B == 0 == C makes the
+    whole piece a level set, which happens only at ratio 1; the piece is
+    then taken row by row.
+    """
+    if A == 0 and B == 0:
+        if C:
+            return []
+        s_lo = max(-c for a, b, c in cons if (a, b) == (1, 0))
+        s_hi = min(c for a, b, c in cons if (a, b) == (-1, 0))
+        return [z for s in range(s_lo, s_hi + 1) for z in _zeros(1, 0, -s, cons)]
+    g, x, y = _ext_gcd(abs(A), abs(B))
+    if C % g:
+        return []
+    q = -C // g
+    s0 = x * q * (1 if A > 0 else -1)
+    t0 = y * q * (1 if B > 0 else -1)
+    ds, dt = B // g, -A // g
+    # (s0 + ds*k, t0 + dt*k) runs over every solution; each constraint
+    # bounds k on one side.
+    lows, highs = [], []
+    for a, b, c in cons:
+        coef = a * ds + b * dt
+        val = a * s0 + b * t0 + c
+        if coef > 0:
+            lows.append(-(val // coef))
+        elif coef < 0:
+            highs.append(val // -coef)
+        elif val < 0:
+            return []
+    return [(s0 + ds * k, t0 + dt * k) for k in range(max(lows), min(highs) + 1)]
+
+
+def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, x, y) with a*x + b*y == g == gcd(a, b), for a, b >= 0."""
+    x0, x1, y0, y1 = 1, 0, 0, 1
+    while b:
+        q = a // b
+        a, b = b, a - q * b
+        x0, x1 = x1, x0 - q * x1
+        y0, y1 = y1, y0 - q * y1
+    return a, x0, y0
 
 
 @dataclass(frozen=True)

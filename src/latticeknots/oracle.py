@@ -1,7 +1,7 @@
 """Independent recomputation of knot distances and distortion.
 
-This module deliberately avoids the arc-position formula and the vectorized
-scan in :mod:`latticeknots.distortion`.  It builds the knot's unit-step graph
+This module deliberately avoids the arc-position formula and the stick-pair
+kernel in :mod:`latticeknots.distortion`.  It builds the knot's unit-step graph
 from vertex adjacency, measures distances by breadth-first traversal, and
 maximizes the ratio with a plain loop using integer cross multiplication.
 The two routes must agree exactly; tests and the CLI ``--oracle`` flag check

@@ -88,7 +88,7 @@ def edge_length_formula(p: int) -> int:
 
 # ---------------------------------------------------------------------------
 # Exact closed forms for the family's distortion values.  Each is the arc
-# length of a specific vertex pair at taxicab distance one, so the scan can
+# length of a specific vertex pair at taxicab distance one, so the kernel can
 # confirm or refute them per p.
 
 def distortion_formula_even_small(p: int) -> Fraction:

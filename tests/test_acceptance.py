@@ -1,11 +1,14 @@
 """Acceptance suite: one test per exit criterion, printing a verdict line each.
 
-Every golden distortion value below was produced by the vectorized exact scan
-and confirmed by the independent breadth-first oracle before being frozen
-(the full table through p = 24 was re-confirmed offline; the tests re-run the
-oracle inline wherever it stays fast).  One deliberately honest failure is
-kept: the family's distortion at p = 22 is 1235, not the closed form 1249
-stated for even p up to 22; see test_criterion_3_even_formula_full_range.
+Every golden distortion value below was produced by the all-pairs vertex
+scan that preceded the stick-pair kernel, so the table also pins the kernel
+to that scan.  The values for p <= 10 and for even p <= 22 were confirmed
+by the independent breadth-first oracle before being frozen; the odd values
+from p = 11 and all values from p = 23 come from the scan alone (the tests
+re-run the oracle inline wherever it stays fast).  One deliberately honest
+failure is kept: the family's distortion at p = 22 is 1235, not the closed
+form 1249 stated for even p up to 22; see
+test_criterion_3_even_formula_full_range.
 """
 
 import random
@@ -55,14 +58,38 @@ GOLDEN_DISTORTION = {
     8: 155,
     9: 211,
     10: 239,
+    11: 317,
     12: 349,
+    13: 433,
     14: 485,
+    15: 567,
     16: 643,
+    17: 719,
     18: 823,
+    19: 889,
     20: 1025,
+    21: 1079,
     22: 1235,  # the even-p closed form gives 1249; both arcs of the
                # realizing pair measure 1249 and 1235, and knot distance
                # takes the shorter one
+    23: 1309,
+    24: 1455,
+    25: 1561,
+    26: 1693,
+    27: 1835,
+    28: 1949,
+    29: 2131,
+    30: 2223,
+    31: 2447,
+    32: 2533,
+    33: 2753,
+    34: 2879,
+    35: 3077,
+    36: 3247,
+    37: 3419,
+    38: 3637,
+    39: 3779,
+    40: 4049,
 }
 
 
@@ -135,6 +162,12 @@ def test_criterion_3_distortion_golden_values():
         assert report.value == Fraction(expected), (
             f"p={p}: scan found {report.value}, frozen golden value {expected}"
         )
+        # one vertex pair at taxicab distance 1 realizes the maximum; the
+        # trefoil (p = 2) has six such pairs
+        pairs = report.realizing_pairs
+        assert len(pairs) == (6 if p == 2 else 1), (p, pairs)
+        for i, j in pairs:
+            assert l1_distance(K.vertices[i], K.vertices[j]) == 1, (p, i, j)
         if p <= 8:
             value, pairs = vertex_distortion_oracle(K)
             assert value == report.value

@@ -10,8 +10,10 @@ from latticeknots import (
     check_distortion_one_structure,
     distortion_pair_value,
     distortion_upper_bound,
+    enumerate_conformations,
     format_exact,
     knot_distance,
+    knot_from_vertices,
     random_lattice_knot,
     torus_knot,
     vertex_distortion,
@@ -155,14 +157,33 @@ def test_bfs_oracle_matches_arc_positions():
                 assert row[j] == knot_distance(K, i, j)
 
 
+def dilate(K, factor):
+    corners = [K.vertices[stick.start] for stick in K.sticks]
+    return knot_from_vertices([tuple(factor * c for c in v) for v in corners])
+
+
+L_HEXAGON = [(0, 0, 0), (2, 0, 0), (2, 1, 0), (1, 1, 0), (1, 2, 0), (0, 2, 0)]
+
+
 def test_scan_and_oracle_agree_on_random_knots():
+    """Value and every realizing pair, on random knots and where ties are
+    dense: opposite sides of a rectangle tie along whole runs, and dilation
+    stretches every tie."""
     rng = random.Random(29)
-    for _ in range(10):
-        K = random_lattice_knot(rng, 40)
+    random_knots = [random_lattice_knot(rng, 40) for _ in range(10)]
+    rectangles = [
+        knot_from_vertices([(0, 0, 0), (a, 0, 0), (a, b, 0), (0, b, 0)])
+        for a in range(1, 9)
+        for b in range(1, 9)
+    ]
+    dilations = [
+        dilate(K, factor)
+        for K in (torus_knot(2), torus_knot(3), knot_from_vertices(L_HEXAGON))
+        for factor in (2, 3, 4, 5)
+    ]
+    for K in random_knots + rectangles + list(enumerate_conformations(10)) + dilations:
         report = vertex_distortion(K)
-        value, pairs = vertex_distortion_oracle(K)
-        assert report.value == value
-        assert report.realizing_pairs == pairs
+        assert (report.value, report.realizing_pairs) == vertex_distortion_oracle(K), K
 
 
 def test_report_is_frozen(unit_square):

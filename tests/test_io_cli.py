@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from latticeknots import build_knot, torus_knot
+import latticeknots
+from latticeknots import build_knot, knot_from_vertices, torus_knot
 from latticeknots.cli import main
 from latticeknots.io import (
     dump_tabulation_json,
@@ -13,6 +18,8 @@ from latticeknots.io import (
     sniff_kind,
 )
 from latticeknots.torus import generate_torus_tabulation
+
+SRC = Path(latticeknots.__file__).resolve().parent.parent
 
 TREFOIL_JSON = (
     '{"lengths": {"x": [2, 3, 2, 1], "y": [1, 2, 3, 2], "z": [3, 2, 1, 2]}, '
@@ -232,6 +239,30 @@ def test_cli_distortion_torus_with_oracle_and_pairs(capsys, tmp_path):
     assert lines[-1] == "oracle: agree"
     i, j = map(int, lines[1].split())
     assert 0 <= i < j < 90
+
+
+def test_cli_distortion_long_rectangle_pairs(capsys, tmp_path):
+    # 200,002 edges on 4 sticks: the maximum is the one antipodal pair
+    # across the middle of the two long sides
+    a = 100_000
+    K = knot_from_vertices([(0, 0, 0), (a, 0, 0), (a, 1, 0), (0, 1, 0)])
+    target = tmp_path / "rect.csv"
+    target.write_text(knot_to_vertex_csv(K))
+    code, out, _ = run_cli(capsys, "distortion", str(target), "--pairs")
+    assert code == 0
+    assert out == f"{a + 1}\n{a // 2} {3 * a // 2 + 1}\n"
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    path = filter(None, [str(SRC), os.environ.get("PYTHONPATH")])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    probe = "import sys, latticeknots.cli; print('numpy' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "False\n"
 
 
 def test_cli_reduce_check_irreducible(capsys, tmp_path):
