@@ -16,6 +16,7 @@ never a proof of the infimum).
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
@@ -47,32 +48,54 @@ _STEP_IMAGES = tuple(
     + bytes(range(6, 256))
     for iso in ISOMETRIES
 )
-_OPPOSITE_CODE = tuple(_ENCODE[t.opposite] for t in _DIRS)
 
 
-def encode_steps(steps: Sequence[StickType]) -> tuple[int, ...]:
-    return tuple(_ENCODE[s] for s in steps)
+def _lead_images(d0: int, d1: int) -> tuple[bytes, ...]:
+    """The images that send d0 to x+ and d1 to the least code they can."""
+    fixing = [image for image in _STEP_IMAGES if image[d0] == 0]
+    least = min(image[d1] for image in fixing)
+    return tuple(image for image in fixing if image[d1] == least)
 
 
-def decode_steps(codes: Sequence[int]) -> tuple[StickType, ...]:
-    return tuple(_DIRS[c] for c in codes)
+_LEAD_IMAGES = {(d0, d1): _lead_images(d0, d1) for d0 in range(6) for d1 in range(6)}
 
 
 def canonical_steps(steps: Sequence[StickType]) -> tuple[int, ...]:
-    """Least encoded step sequence over isometries, rotations and reversal."""
-    base = bytes(encode_steps(steps))
-    n = len(base)
-    reversed_base = bytes(_OPPOSITE_CODE[c] for c in reversed(base))
-    best: bytes | None = None
-    for image in _STEP_IMAGES:
-        for seq in (base, reversed_base):
-            mapped = seq.translate(image)
-            doubled = mapped + mapped
-            candidate = min(doubled[i : i + n] for i in range(n))
-            if best is None or candidate < best:
-                best = candidate
-    assert best is not None
-    return tuple(best)
+    """Least encoded step sequence over isometries, rotations and reversal.
+
+    The least image opens with the longest run of x+ (code 0) of any image,
+    so it starts at a longest stick (taken cyclically) of the walk or its
+    reverse, mapped to x+.  In a closed simple walk the next step is neither
+    x+ (the stick is maximal) nor x- (a step back), so it maps to y+ at
+    best, and exactly two isometries (the two signs of the third axis) do
+    both.  Each longest stick thus leaves at most four candidates over both
+    orientations.  Reversal also negates every step, but the isometries
+    include that negation, so the reversed order alone gives the same
+    images.  ``_LEAD_IMAGES`` keeps the isometries that send the next
+    direction to its least code, so any other sequence gets its exact least
+    image too.
+    """
+    return tuple(_canonical_codes(bytes(_ENCODE[s] for s in steps)))
+
+
+def _canonical_codes(codes: bytes) -> bytes:
+    """The least image of ``codes``, over the candidates of ``canonical_steps``."""
+    n = len(codes)
+    candidates: list[bytes] = []
+    for seq in (codes, codes[::-1]):
+        starts = [i for i in range(n) if seq[i] != seq[i - 1]]
+        if not starts:
+            return bytes(n)
+        ends = starts[1:] + [starts[0] + n]
+        longest = max(end - start for start, end in zip(starts, ends))
+        doubled = seq + seq
+        candidates += [
+            doubled[start : start + n].translate(image)
+            for start, end in zip(starts, ends)
+            if end - start == longest
+            for image in _LEAD_IMAGES[seq[start], doubled[end]]
+        ]
+    return min(candidates)
 
 
 _DX = (1, -1, 0, 0, 0, 0)
@@ -80,7 +103,7 @@ _DY = (0, 0, 1, -1, 0, 0)
 _DZ = (0, 0, 0, 0, 1, -1)
 
 
-def _closed_walks(length: int) -> list[tuple[int, ...]]:
+def _closed_walks(length: int) -> list[bytes]:
     """Self-avoiding closed walks of the exact length, first step x+.
 
     Direction-canonical pruning keeps the tree small: the first step off the
@@ -99,7 +122,7 @@ def _closed_walks(length: int) -> list[tuple[int, ...]]:
         remaining = length - len(steps)
         if remaining == 0:
             if x == 0 and y == 0 and z == 0:
-                results.append(tuple(steps))
+                results.append(bytes(steps))
             return
         if abs(x) + abs(y) + abs(z) > remaining:
             return
@@ -143,9 +166,9 @@ def enumerate_conformations(
             f"max_edge_length {max_edge_length} exceeds the configured cap {cap}"
         )
     for length in range(4, max_edge_length + 1, 2):
-        classes = {canonical_steps(decode_steps(w)) for w in _closed_walks(length)}
+        classes = {_canonical_codes(w) for w in _closed_walks(length)}
         for codes in sorted(classes):
-            yield LatticeKnot(decode_steps(codes))
+            yield LatticeKnot([_DIRS[c] for c in codes])
 
 
 def conformation_counts(max_edge_length: int, cap: int = 16) -> dict[int, int]:
@@ -232,7 +255,7 @@ class SearchResult:
     best_knot: LatticeKnot
     best_value: Fraction
     moves_applied: int
-    moves_tried: int
+    rejections: dict[str, int]  # ReductionError subclass name -> moves it refused
 
 
 def search_low_distortion(
@@ -250,7 +273,8 @@ def search_low_distortion(
     best = knot
     best_value = vertex_distortion(knot).value
     applied = 0
-    for tried in range(1, move_budget + 1):
+    rejections: Counter[str] = Counter()
+    for _ in range(move_budget):
         stick = rng.randrange(len(current.sticks))
         direction = rng.choice((Direction.WITH, Direction.AGAINST))
         extend = rng.random() < 0.25
@@ -263,11 +287,12 @@ def search_low_distortion(
                 candidate = apply_reduction(
                     current, ReductionMove(stick, direction, amount)
                 )
-        except ReductionError:
+        except ReductionError as exc:
+            rejections[type(exc).__name__] += 1
             continue
         applied += 1
         current = candidate
         value = vertex_distortion(current).value
         if value < best_value:
             best, best_value = current, value
-    return SearchResult(best, best_value, applied, move_budget)
+    return SearchResult(best, best_value, applied, dict(rejections))

@@ -225,7 +225,10 @@ class PartialSumReport:
 
 
 def verify_partial_sums(p: int) -> PartialSumReport:
-    K = torus_knot(p)
+    return _partial_sums(p, torus_knot(p))
+
+
+def _partial_sums(p: int, K: LatticeKnot) -> PartialSumReport:
     return PartialSumReport(
         p=p,
         x_sums=K.partial_sums(0),
@@ -287,7 +290,10 @@ class XLevel2Report:
 def verify_x_level_2(p: int) -> XLevel2Report:
     if p < 3:
         raise ValueError("x-level 2 has its multi-arc structure only for p >= 3")
-    K = torus_knot(p)
+    return _x_level_2(p, torus_knot(p))
+
+
+def _x_level_2(p: int, K: LatticeKnot) -> XLevel2Report:
     level = K.level(0, 2)
     initials = []
     y_lengths = []
@@ -353,8 +359,10 @@ class CollinearityReport:
 def verify_collinearity(p: int) -> CollinearityReport:
     if p < 3:
         raise ValueError("the collinearity analysis needs p >= 3")
-    K = torus_knot(p)
+    return _collinearity(p, torus_knot(p))
 
+
+def _collinearity(p: int, K: LatticeKnot) -> CollinearityReport:
     by_type: dict[StickType, list[int]] = {t: [] for t in StickType}
     for idx, stick in enumerate(K.sticks):
         by_type[stick.type].append(idx)
@@ -441,8 +449,8 @@ def verify_structure(p: int) -> StructureReport:
         stick_count=K.stick_count,
         sticks_per_axis=per_axis,
         closure=verify_closure_sums(p),
-        partial=verify_partial_sums(p),
-        x_level_2=verify_x_level_2(p) if p >= 3 else None,
-        collinearity=verify_collinearity(p) if p >= 3 else None,
+        partial=_partial_sums(p, K),
+        x_level_2=_x_level_2(p, K) if p >= 3 else None,
+        collinearity=_collinearity(p, K) if p >= 3 else None,
         levels_single_arc=_levels_single_arc(K, p),
     )

@@ -11,11 +11,10 @@ DEMOS = Path(__file__).resolve().parent.parent / "demos"
 SRC = Path(latticeknots.__file__).resolve().parent.parent
 
 
-# the census demo, the one slow demo, is left to manual runs
 @pytest.mark.parametrize(
     "demo",
-    ["build_a_knot.py", "distortion_scan.py", "reduction_moves.py",
-     "torus_family_tour.py"],
+    ["build_a_knot.py", "distortion_scan.py", "enumerate_small_knots.py",
+     "reduction_moves.py", "torus_family_tour.py"],
 )
 def test_demo_runs(demo, tmp_path):
     path = filter(None, [str(SRC), os.environ.get("PYTHONPATH")])

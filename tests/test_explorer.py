@@ -4,6 +4,9 @@ import pytest
 
 from latticeknots import (
     ISOMETRIES,
+    ReductionError,
+    StickType,
+    apply_isometry,
     canonical_steps,
     classify_distortion_one,
     conformation_counts,
@@ -13,10 +16,41 @@ from latticeknots import (
     torus_knot,
     vertex_distortion,
 )
+from latticeknots.explorer import _closed_walks
 from latticeknots.lattice import affine_rank
 
 # Frozen regression values from the exhaustive backtracking enumeration.
 EXPECTED_COUNTS = {4: 1, 6: 3, 8: 11, 10: 73}
+
+# Rooted, oriented self-avoiding polygons on the cubic lattice (OEIS A001413).
+ROOTED_POLYGONS = {4: 24, 6: 264, 8: 3312, 10: 48240, 12: 762096}
+
+# Test-only reference for canonical forms: every image of an encoded step
+# sequence under the 48 isometries, both orientations and all n rotations,
+# with step images taken from apply_isometry.
+STEPS = list(StickType)
+CODE = {t: i for i, t in enumerate(STEPS)}
+BY_STEP = {t.step: t for t in STEPS}
+PAD = bytes(range(6, 256))
+IMAGE_TABLES = [
+    bytes(CODE[BY_STEP[apply_isometry(iso, t.step)]] for t in STEPS) + PAD
+    for iso in ISOMETRIES
+]
+OPPOSITE_TABLE = bytes(CODE[t.opposite] for t in STEPS) + PAD
+
+
+def all_images(codes: bytes):
+    """The 96n images of the sequence, with repeats."""
+    n = len(codes)
+    for seq in (codes, codes[::-1].translate(OPPOSITE_TABLE)):
+        for table in IMAGE_TABLES:
+            doubled = seq.translate(table) * 2
+            for i in range(n):
+                yield doubled[i : i + n]
+
+
+def brute_canonical(steps) -> tuple[int, ...]:
+    return tuple(min(all_images(bytes(CODE[t] for t in steps))))
 
 
 def test_length_four_is_only_the_unit_square():
@@ -51,6 +85,51 @@ def test_enumeration_is_isometry_canonical():
             if rng.random() < 0.5:
                 image = image.reverse()
             assert canonical_steps(image.steps) == reference
+
+
+def test_canonical_steps_matches_brute_force_on_all_walks():
+    for length in range(4, 13, 2):
+        pending = set(_closed_walks(length))
+        while pending:
+            walk = pending.pop()
+            # members of one orbit share its least image: one brute force each
+            orbit = set(all_images(walk))
+            least = tuple(min(orbit))
+            for member in (pending & orbit) | {walk}:
+                assert canonical_steps([STEPS[c] for c in member]) == least
+            pending -= orbit
+
+
+def test_canonical_steps_matches_brute_force_on_images():
+    rng = random.Random(11)
+    knots = [random_lattice_knot(rng, 40) for _ in range(30)]
+    knots += [torus_knot(p) for p in range(2, 6)]
+    for K in knots:
+        reference = brute_canonical(K.steps)
+        assert canonical_steps(K.steps) == reference
+        for _ in range(4):
+            image = K.transform(rng.choice(ISOMETRIES))
+            image = image.rotate_start(rng.randrange(image.edge_length))
+            if rng.random() < 0.5:
+                image = image.reverse()
+            assert canonical_steps(image.steps) == reference
+
+
+def test_orbit_counting_identity():
+    """Classes times orbit sizes (96L / |stabiliser|) count rooted polygons."""
+    rooted = dict.fromkeys(ROOTED_POLYGONS, 0)
+    for K in enumerate_conformations(12):
+        codes = bytes(CODE[t] for t in K.steps)
+        stabiliser = sum(1 for image in all_images(codes) if image == codes)
+        group_order = 96 * K.edge_length
+        assert group_order % stabiliser == 0
+        rooted[K.edge_length] += group_order // stabiliser
+    assert rooted == ROOTED_POLYGONS
+
+
+def test_conformation_count_at_fourteen_frozen():
+    counts = conformation_counts(14, cap=16)
+    assert counts == {**EXPECTED_COUNTS, 12: 755, 14: 9760}
 
 
 def test_enumerated_knots_are_valid_and_deduplicated():
@@ -149,7 +228,9 @@ def test_search_trefoil_regression():
     result = search_low_distortion(torus_knot(2), 200, seed=3)
     assert result.best_value == 11
     assert result.moves_applied > 0
-    assert result.moves_tried == 200
+    assert result.moves_applied + sum(result.rejections.values()) == 200
+    reasons = {cls.__name__ for cls in ReductionError.__subclasses__()}
+    assert set(result.rejections) <= reasons
 
 
 def test_search_never_returns_worse_than_start(rectangle):
