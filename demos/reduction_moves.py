@@ -3,7 +3,8 @@
 # A reduction slides one endpoint of a stick into its interior; the sticks
 # perpendicular to the slide translate along and the next stick on the same
 # axis absorbs the motion by shrinking.  Every move is validated by sweeping
-# the translated sticks cell by cell, so a successful move is an isotopy.
+# each translated stick's box against every static stick's box over all
+# intermediate offsets, so a successful move is an isotopy.
 
 from latticeknots import knot_from_vertices, torus_knot
 from latticeknots.reduction import (

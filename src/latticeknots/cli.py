@@ -33,10 +33,11 @@ from .torus import (
     distortion_formula_even_large,
     distortion_formula_even_small,
     distortion_formula_odd,
+    edge_length_formula,
     generate_torus_tabulation,
     torus_knot,
-    verify_structure,
 )
+from .torus import _verify_structure
 
 USAGE_ERROR = 2
 CHECK_ERROR = 1
@@ -69,18 +70,22 @@ def cmd_validate(args: argparse.Namespace) -> int:
     print(f"simple, closed, {K.stick_count} sticks, length {K.edge_length}")
     if torus_p is None:
         return 0
-    family_tab, _ = torus_knot(torus_p).canonical_tabulation()
-    file_tab, _ = K.canonical_tabulation()
-    if file_tab != family_tab:
-        print(
-            f"torus tag p={torus_p}: conformation does not match the "
-            "generated family member",
-            file=sys.stderr,
-        )
-        return CHECK_ERROR
-    report = verify_structure(torus_p)
-    print(f"torus structure checks (p={torus_p}): {'ok' if report.ok else 'FAILED'}")
-    return 0 if report.ok else CHECK_ERROR
+    # compare sizes first, so that a wrong tag never builds a huge knot;
+    # torus_knot refuses p < 2 as a usage error
+    sizes = (6 * torus_p, edge_length_formula(torus_p))
+    if torus_p < 2 or sizes == (K.stick_count, K.edge_length):
+        family = torus_knot(torus_p)
+        if family.canonical_tabulation()[0] == K.canonical_tabulation()[0]:
+            report = _verify_structure(torus_p, family)
+            verdict = "ok" if report.ok else "FAILED"
+            print(f"torus structure checks (p={torus_p}): {verdict}")
+            return 0 if report.ok else CHECK_ERROR
+    print(
+        f"torus tag p={torus_p}: conformation does not match the "
+        "generated family member",
+        file=sys.stderr,
+    )
+    return CHECK_ERROR
 
 
 def cmd_distortion(args: argparse.Namespace) -> int:
@@ -274,6 +279,10 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return CHECK_ERROR
+    except (MemoryError, RecursionError) as exc:
+        reason = f"too large or too deeply nested ({type(exc).__name__})"
+        print(f"error: input {reason}", file=sys.stderr)
+        return USAGE_ERROR
 
 
 if __name__ == "__main__":

@@ -17,8 +17,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .knot import LatticeKnot, SelfIntersection, StickType
-from .lattice import Point, l1_distance
+from .knot import LatticeKnot, SelfIntersection, knot_from_vertices
+from .lattice import Point
 
 
 class Direction(enum.Enum):
@@ -108,50 +108,27 @@ def _plan_move(K: LatticeKnot, stick_index: int, direction: Direction) -> _Plan:
     if absorber is None:
         raise NonReducingMove("no stick on the target's axis can absorb the slide")
 
-    unit = target.type.step
-    sign = 1 if direction is Direction.WITH else -1
-    delta = (sign * unit[0], sign * unit[1], sign * unit[2])
-    return _Plan(stick_index, direction, tuple(translating), absorber, delta)
+    heading = target.type if direction is Direction.WITH else target.type.opposite
+    return _Plan(stick_index, direction, tuple(translating), absorber, heading.step)
 
 
 def _shift(p: Point, delta: Point, k: int) -> Point:
     return (p[0] + delta[0] * k, p[1] + delta[1] * k, p[2] + delta[2] * k)
 
 
-def _new_initial_vertex(K: LatticeKnot, plan: _Plan, amount: int, idx: int) -> Point:
-    """Where stick ``idx`` starts after sliding by ``amount`` (negative extends)."""
-    start = K.vertices[K.sticks[idx].start]
-    if idx in plan.translating:
-        return _shift(start, plan.delta, amount)
-    if idx == plan.target and plan.direction is Direction.WITH:
-        return _shift(start, plan.delta, amount)
-    if idx == plan.absorber and plan.direction is Direction.AGAINST:
-        return _shift(start, plan.delta, amount)
-    return start
-
-
 def _rebuild(K: LatticeKnot, plan: _Plan, amount: int) -> LatticeKnot:
-    """Assemble the slid configuration; the constructor revalidates it."""
-    new_lengths = {
-        plan.target: K.sticks[plan.target].length - amount,
-        plan.absorber: K.sticks[plan.absorber].length - amount,
-    }
-    steps: list[StickType] = []
+    """Assemble the slid configuration; the constructor revalidates it.
+
+    The start corners of the translating sticks move, and so does the
+    target's (WITH) or the absorber's (AGAINST); every other corner stays.
+    """
+    lead = plan.target if plan.direction is Direction.WITH else plan.absorber
+    moved = {lead, *plan.translating}
+    corners = []
     for idx, stick in enumerate(K.sticks):
-        steps.extend([stick.type] * new_lengths.get(idx, stick.length))
-    return LatticeKnot(steps, _new_initial_vertex(K, plan, amount, 0))
-
-
-def _static_points(K: LatticeKnot, plan: _Plan) -> dict[Point, int]:
-    """Lattice points of the sticks that do not move, keyed to a stick index."""
-    moving = {plan.target, plan.absorber, *plan.translating}
-    static: dict[Point, int] = {}
-    for idx in range(len(K.sticks)):
-        if idx in moving:
-            continue
-        for q in K.stick_points(idx):
-            static[q] = idx
-    return static
+        start = K.vertices[stick.start]
+        corners.append(_shift(start, plan.delta, amount) if idx in moved else start)
+    return knot_from_vertices(corners)
 
 
 def _first_collision(
@@ -164,16 +141,44 @@ def _first_collision(
     Sweeping the translating sticks is the only freedom in the motion; the
     shrinking target and absorber stay inside their original segments, so
     they cannot produce new intersections on the way.
+
+    Two axis-parallel lattice segments meet iff their boxes overlap on every
+    axis, and the overlap then holds a lattice point.  A translating stick is
+    perpendicular to the slide, so each static stick either never meets it
+    or blocks one interval of offsets, read off the slide axis; the cost
+    follows stick pairs, not lattice points.  Ties at the least offset go to
+    the earlier stick in ``plan.translating``, then to the point nearest its
+    start, then to the higher static index: the order of a sweep that shifts
+    every point of every translating stick, offset by offset.
     """
-    static = _static_points(K, plan)
-    moving = [(idx, K.stick_points(idx)) for idx in plan.translating]
-    for k in range(1, limit + 1):
-        for idx, pts in moving:
-            for q in pts:
-                hit = _shift(q, plan.delta, k)
-                if hit in static:
-                    return k, hit, (idx, static[hit])
-    return None
+    axis = K.sticks[plan.target].type.axis
+    sign = plan.delta[axis]
+    n = K.edge_length
+    boxes = []
+    for stick in K.sticks:
+        ends = (K.vertices[stick.start], K.vertices[(stick.start + stick.length) % n])
+        boxes.append((min(ends), max(ends)))  # ends differ on one axis only
+    moving = {plan.target, plan.absorber, *plan.translating}
+    hits = []
+    for rank, idx in enumerate(plan.translating):
+        start = K.vertices[K.sticks[idx].start]
+        lo, hi = boxes[idx]
+        run = K.sticks[idx].type.axis
+        fixed = 3 - axis - run
+        for s_idx, (s_lo, s_hi) in enumerate(boxes):
+            if s_idx in moving or s_hi[run] < lo[run] or hi[run] < s_lo[run]:
+                continue
+            if not s_lo[fixed] <= start[fixed] <= s_hi[fixed]:
+                continue
+            span = sign * (s_lo[axis] - start[axis]), sign * (s_hi[axis] - start[axis])
+            k = max(min(span), 1)
+            if k > min(max(span), limit):
+                continue
+            point = list(_shift(start, plan.delta, k))
+            point[run] = min(max(start[run], s_lo[run]), s_hi[run])
+            distance = abs(point[run] - start[run])
+            hits.append((k, rank, distance, -s_idx, (k, tuple(point), (idx, s_idx))))
+    return min(hits)[-1] if hits else None
 
 
 def apply_reduction(K: LatticeKnot, move: ReductionMove) -> LatticeKnot:
@@ -287,12 +292,4 @@ def sweep_criterion_blocks(
         plan = _plan_move(K, stick_index, direction)
     except NonReducingMove:
         return False
-    full = K.sticks[plan.target].length
-    static = _static_points(K, plan)
-    for idx in plan.translating:
-        pts = K.stick_points(idx)
-        plane = {_shift(q, plan.delta, k) for q in pts for k in range(full + 1)}
-        for s in static:
-            if s in plane and min(l1_distance(s, q) for q in pts) == 1:
-                return True
-    return False
+    return _first_collision(K, plan, 1) is not None

@@ -363,26 +363,20 @@ def verify_collinearity(p: int) -> CollinearityReport:
 
 
 def _collinearity(p: int, K: LatticeKnot) -> CollinearityReport:
-    by_type: dict[StickType, list[int]] = {t: [] for t in StickType}
-    for idx, stick in enumerate(K.sticks):
-        by_type[stick.type].append(idx)
+    ends: dict[StickType, list[tuple[Point, Point]]] = {t: [] for t in StickType}
+    for stick in K.sticks:
+        end = (stick.start + stick.length) % K.edge_length
+        ends[stick.type].append((K.vertices[stick.start], K.vertices[end]))
 
-    z_plus_initials = tuple(
-        K.vertices[K.sticks[i].start] for i in by_type[StickType.ZP]
-    )
-
-    x_plus = by_type[StickType.XP]
-    final_three = tuple(K.vertices[K.sticks[i].start] for i in x_plus[-3:])
+    z_plus_initials = tuple(start for start, _ in ends[StickType.ZP])
+    final_three = tuple(start for start, _ in ends[StickType.XP][-3:])
 
     coplanar_flags = []
     for t in StickType:
-        members = by_type[t]
-        if t in _COPLANAR_EXCLUDE_LAST:
-            members = members[:-1]
-        pts: list[Point] = []
-        for i in members:
-            pts.extend(K.stick_points(i))
-        coplanar_flags.append((t.value, are_coplanar(pts)))
+        members = ends[t][:-1] if t in _COPLANAR_EXCLUDE_LAST else ends[t]
+        # a stick spans the same affine hull as its two endpoints
+        points = [q for pair in members for q in pair]
+        coplanar_flags.append((t.value, are_coplanar(points)))
 
     return CollinearityReport(
         p=p,
@@ -439,7 +433,10 @@ def _levels_single_arc(K: LatticeKnot, p: int) -> bool:
 
 def verify_structure(p: int) -> StructureReport:
     """Build the knot (revalidating simplicity) and run every check for it."""
-    K = torus_knot(p)
+    return _verify_structure(p, torus_knot(p))
+
+
+def _verify_structure(p: int, K: LatticeKnot) -> StructureReport:
     per_axis = tuple(
         sum(1 for s in K.sticks if s.type.axis == axis) for axis in range(3)
     )

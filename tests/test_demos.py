@@ -8,6 +8,7 @@ import pytest
 import latticeknots
 
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
+GOLDEN = Path(__file__).resolve().parent / "golden" / "demos"
 SRC = Path(latticeknots.__file__).resolve().parent.parent
 
 
@@ -28,3 +29,4 @@ def test_demo_runs(demo, tmp_path):
         timeout=120,
     )
     assert result.returncode == 0, result.stderr
+    assert result.stdout == (GOLDEN / demo).with_suffix(".txt").read_text()

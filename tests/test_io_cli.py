@@ -1,5 +1,6 @@
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -7,6 +8,8 @@ from pathlib import Path
 import pytest
 
 import latticeknots
+import latticeknots.cli
+import latticeknots.torus
 from latticeknots import build_knot, knot_from_vertices, torus_knot
 from latticeknots.cli import main
 from latticeknots.io import (
@@ -133,13 +136,19 @@ def test_cli_generate_rejects_p1(capsys):
     assert "at least 2" in err
 
 
-def test_cli_validate_family_file(capsys, tmp_path):
+def test_cli_validate_family_file(capsys, tmp_path, monkeypatch):
     target = tmp_path / "t5.json"
     run_cli(capsys, "generate", "--p", "5", "-o", str(target))
+    built = []
+    for module in (latticeknots.cli, latticeknots.torus):
+        monkeypatch.setattr(
+            module, "torus_knot", lambda p: built.append(p) or torus_knot(p)
+        )
     code, out, _ = run_cli(capsys, "validate", str(target))
     assert code == 0
     assert "simple, closed, 30 sticks, length 138" in out
     assert "torus structure checks (p=5): ok" in out
+    assert built == [5]  # the family member is built once
 
 
 def test_cli_validate_tampered_table(capsys, tmp_path):
@@ -212,6 +221,54 @@ def test_cli_rejects_malformed_json_integers(capsys, tmp_path, text):
     assert out == ""
     assert err.startswith("error: ")
     assert "Traceback" not in err
+
+
+def _cap_address_space():
+    limit = 1 << 30
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
+@pytest.mark.parametrize(
+    "name, text, code",
+    [
+        pytest.param(
+            "long.json",
+            '{"types": ["x+", "y+", "x-", "y-"], '
+            '"lengths": {"x": [1000000000000, 1000000000000], "y": [1, 1]}}',
+            2,
+            id="json-length-1e12",
+        ),
+        pytest.param(
+            "far.csv",
+            "0,0,0\n1000000000000,0,0\n1000000000000,1,0\n0,1,0\n",
+            2,
+            id="csv-coordinate-1e12",
+        ),
+        pytest.param("deep.json", "[" * 100_000 + "]" * 100_000, 2, id="json-deep"),
+        pytest.param(
+            "mistagged.json", "{" + SQUARE_FIELDS + ', "torus_p": 100000000}', 1,
+            id="torus-tag-1e8",
+        ),
+    ],
+)
+def test_cli_refuses_huge_input_cleanly(tmp_path, name, text, code):
+    # a child process under a 1 GiB address-space cap, so that the outcome
+    # does not depend on how the host overcommits memory
+    target = tmp_path / name
+    target.write_text(text)
+    path = filter(None, [str(SRC), os.environ.get("PYTHONPATH")])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    result = subprocess.run(
+        [sys.executable, "-m", "latticeknots.cli", "validate", str(target)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+        preexec_fn=_cap_address_space,
+    )
+    assert result.returncode == code, result.stderr
+    assert len(result.stderr.splitlines()) == 1, result.stderr
+    assert "Traceback" not in result.stderr
 
 
 def test_cli_validate_missing_file(capsys):

@@ -22,7 +22,8 @@ from latticeknots import (
     sweep_criterion_blocks,
     torus_knot,
 )
-from latticeknots.reduction import _plan_move, _rebuild
+from latticeknots.lattice import l1_distance
+from latticeknots.reduction import _first_collision, _plan_move, _rebuild, _shift
 
 
 def test_rectangle_shrinks_to_unit_square(rectangle):
@@ -172,15 +173,56 @@ def _max_amount_by_rebuilding(K, stick, direction):
     return cap
 
 
-def test_max_amount_matches_rebuild_reference():
-    # the reference revalidates every intermediate configuration through the
-    # LatticeKnot constructor instead of sweeping cells
+def _static_points(K, plan):
+    """Lattice points of the sticks that do not move, keyed to a stick index."""
+    moving = {plan.target, plan.absorber, *plan.translating}
+    static = {}
+    for idx in range(K.stick_count):
+        if idx not in moving:
+            for q in K.stick_points(idx):
+                static[q] = idx
+    return static
+
+
+def _first_collision_by_points(K, plan, limit):
+    """Reference sweep: shift every point of every translating stick."""
+    static = _static_points(K, plan)
+    moving = [(idx, K.stick_points(idx)) for idx in plan.translating]
+    for k in range(1, limit + 1):
+        for idx, pts in moving:
+            for q in pts:
+                hit = _shift(q, plan.delta, k)
+                if hit in static:
+                    return k, hit, (idx, static[hit])
+    return None
+
+
+def _criterion_by_plane(K, plan):
+    """Reference criterion: a static point in a swept plane, one from its stick."""
+    full = K.sticks[plan.target].length
+    static = _static_points(K, plan)
+    for idx in plan.translating:
+        pts = K.stick_points(idx)
+        plane = {_shift(q, plan.delta, k) for q in pts for k in range(full + 1)}
+        for s in static:
+            if s in plane and min(l1_distance(s, q) for q in pts) == 1:
+                return True
+    return False
+
+
+def _reduction_corpus():
     rng = Random(7)
     knots = list(enumerate_conformations(10))
     knots += [random_lattice_knot(rng, 40) for _ in range(200)]
     knots += [torus_knot(p) for p in range(2, 8)]
+    return knots
+
+
+def test_max_amount_matches_rebuild_reference():
+    # the reference revalidates every intermediate configuration through the
+    # LatticeKnot constructor instead of sweeping cells
     reducible = 0
-    for K in knots:
+    for K in _reduction_corpus():
         for idx in range(K.stick_count):
             for direction in Direction:
                 expected = _max_amount_by_rebuilding(K, idx, direction)
@@ -209,3 +251,39 @@ def test_sweep_criterion_implies_simulation_failure():
 
 def test_sweep_criterion_stays_quiet_on_reducible_sticks(rectangle):
     assert not sweep_criterion_blocks(rectangle, 0, Direction.WITH)
+
+
+def test_box_sweep_matches_point_sweep():
+    # offset, point and stick pair agree at every limit, past the cap too
+    collisions = 0
+    for K in _reduction_corpus():
+        for idx in range(K.stick_count):
+            for direction in Direction:
+                try:
+                    plan = _plan_move(K, idx, direction)
+                except NonReducingMove:
+                    continue
+                ends = (K.sticks[plan.target], K.sticks[plan.absorber])
+                cap = min(stick.length for stick in ends) - 1
+                for limit in range(1, cap + 3):
+                    expected = _first_collision_by_points(K, plan, limit)
+                    assert _first_collision(K, plan, limit) == expected
+                    collisions += expected is not None
+    assert collisions > 0
+
+
+def test_sweep_criterion_matches_plane_reference():
+    fired = 0
+    for p in range(2, 9):
+        K = torus_knot(p)
+        for idx in range(K.stick_count):
+            for direction in Direction:
+                try:
+                    plan = _plan_move(K, idx, direction)
+                except NonReducingMove:
+                    assert not sweep_criterion_blocks(K, idx, direction)
+                    continue
+                expected = _criterion_by_plane(K, plan)
+                assert sweep_criterion_blocks(K, idx, direction) == expected
+                fired += expected
+    assert fired > 0

@@ -157,6 +157,11 @@ def test_coplanarity_needs_exactly_the_two_exclusions():
         assert are_coplanar(family_points(StickType.ZM, True))
         for t in (StickType.XP, StickType.XM, StickType.YM, StickType.ZP):
             assert are_coplanar(family_points(t, False))
+        # the verification passes stick endpoints only; all points agree
+        excluded = (StickType.YP, StickType.ZM)
+        assert dict(verify_collinearity(p).coplanar_by_type) == {
+            t.value: are_coplanar(family_points(t, t in excluded)) for t in StickType
+        }
 
 
 def test_stick_counts(unit_square):
