@@ -248,7 +248,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_enu = sub.add_parser("enumerate", help="census of small conformations")
     p_enu.add_argument("--max-length", type=int, required=True)
     p_enu.add_argument("--cap", type=int, default=16)
-    p_enu.add_argument("--classify", action="store_true")
+    p_enu.add_argument(
+        "--classify",
+        action="store_true",
+        help="count the distortion-one conformations and check their structure; "
+        "every vertex of one is a corner of its bounding box, so none exists "
+        "past 8 edges, and longer lengths only exercise the distortion kernel",
+    )
     p_enu.add_argument("--golden-dir", default=None)
     p_enu.set_defaults(func=cmd_enumerate)
 

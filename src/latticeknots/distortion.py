@@ -107,8 +107,8 @@ def vertex_distortion(K: LatticeKnot) -> DistortionReport:
     the value covers.
     """
     n = K.edge_length
-    frames = [_stick_frame(K, stick) for stick in K.sticks]
-    m = len(frames)
+    sticks = K.sticks
+    m = len(sticks)
     # Two unequal bounds cap/gap differ by more than 1/n**2 (both gaps are
     # below n), so this integer key sorts them exactly.
     scale = n * n
@@ -116,7 +116,7 @@ def vertex_distortion(K: LatticeKnot) -> DistortionReport:
     for a, b in combinations(range(m), 2):
         if b - a == 1 or b - a == m - 1:
             continue
-        cap, gap = _pair_bound(n, frames[a], frames[b])
+        cap, gap = _pair_bound(n, sticks[a], sticks[b])
         order.append((cap * scale // gap, a, b, cap, gap))
     order.sort(reverse=True)
 
@@ -125,7 +125,7 @@ def vertex_distortion(K: LatticeKnot) -> DistortionReport:
     for _, a, b, cap, gap in order:
         if cap * best_den < best_num * gap:
             break
-        num, den = _pair_max(n, frames[a], frames[b])
+        num, den = _pair_max(n, sticks[a], sticks[b])
         if num * best_den > best_num * den:
             best_num, best_den = num, den
         reached.append((a, b, num, den))
@@ -135,23 +135,14 @@ def vertex_distortion(K: LatticeKnot) -> DistortionReport:
     found = []
     for a, b, pair_num, pair_den in reached:
         if pair_num * den == num * pair_den:
-            found += _level_pairs(n, frames[a], frames[b], num, den)
+            found += _level_pairs(n, sticks[a], sticks[b], num, den)
     if value == 1:
-        owned = [range(start, start + length) for start, length, *_ in frames]
+        owned = [range(s.start, s.start + s.length) for s in sticks]
         for a in range(m):
             found += combinations(owned[a], 2)
             found += product(owned[a], owned[(a + 1) % m])
     pairs = sorted({(min(i % n, j % n), max(i % n, j % n)) for i, j in found})
     return DistortionReport(value, tuple(pairs), n * (n - 1) // 2)
-
-
-def _stick_frame(K: LatticeKnot, stick: Stick) -> tuple:
-    """(start index, length, start point, unit step, box min, box max)."""
-    p = K.vertices[stick.start]
-    step = stick.type.step
-    q = tuple(c + stick.length * e for c, e in zip(p, step))
-    return (stick.start, stick.length, p, step, tuple(map(min, p, q)),
-            tuple(map(max, p, q)))
 
 
 def _arc(n: int, d: int) -> int:
@@ -160,11 +151,10 @@ def _arc(n: int, d: int) -> int:
     return min(d, n - d)
 
 
-def _pair_bound(n: int, fa: tuple, fb: tuple) -> tuple[int, int]:
+def _pair_bound(n: int, A: Stick, B: Stick) -> tuple[int, int]:
     """(largest arc, smallest taxicab distance) over two disjoint sticks."""
-    a0, la, _, _, lo_a, hi_a = fa
-    b0, lb, _, _, lo_b, hi_b = fb
-    d_lo, d_hi = b0 - a0 - la, b0 - a0 + lb
+    d_lo, d_hi = B.start - A.start - A.length, B.start - A.start + B.length
+    lo_a, hi_a, lo_b, hi_b = A.lo, A.hi, B.lo, B.hi
     half = n // 2
     if d_lo + (half - d_lo) % n <= d_hi:  # some d = n/2 (mod n) in range
         cap = half
@@ -176,20 +166,19 @@ def _pair_bound(n: int, fa: tuple, fb: tuple) -> tuple[int, int]:
     return cap, gap
 
 
-def _terms(fa: tuple, fb: tuple) -> list[tuple[int, int, int]]:
+def _terms(A: Stick, B: Stick) -> list[tuple[int, int, int]]:
     """Per axis (alpha, beta, gamma): that coordinate of the difference
     between the vertex at s on A and the one at t on B is
     alpha*s + beta*t + gamma."""
-    _, _, pa, ea, _, _ = fa
-    _, _, pb, eb, _, _ = fb
+    ea, eb, pa, pb = A.type.step, B.type.step, A.start_point, B.start_point
     return [(ea[x], -eb[x], pa[x] - pb[x]) for x in range(3)]
 
 
-def _pair_max(n: int, fa: tuple, fb: tuple) -> tuple[int, int]:
+def _pair_max(n: int, A: Stick, B: Stick) -> tuple[int, int]:
     """The largest ratio (num, den) over two non-adjacent sticks."""
-    la, lb = fa[1], fb[1]
-    d0 = fb[0] - fa[0]
-    terms = _terms(fa, fb)
+    la, lb = A.length, B.length
+    d0 = B.start - A.start
+    terms = _terms(A, B)
     (ax, bx, cx), (ay, by, cy), (az, bz, cz) = terms
     best_num, best_den = 0, 1
     for s, t in _candidates(n, la, lb, d0, terms):
@@ -242,18 +231,17 @@ def _candidates(n: int, la: int, lb: int, d0: int, terms: list) -> set:
 
 
 def _level_pairs(
-    n: int, fa: tuple, fb: tuple, num: int, den: int
+    n: int, A: Stick, B: Stick, num: int, den: int
 ) -> list[tuple[int, int]]:
     """Index pairs (i owned by A, j owned by B) of ratio exactly num/den,
     where num/den is at least every ratio on the two sticks."""
-    a0, la = fa[:2]
-    b0, lb = fb[:2]
+    a0, la, b0, lb = A.start, A.length, B.start, B.length
     d0 = b0 - a0
     half = n // 2
     varying = []
     sign_choices = []
     fixed = 0
-    for alpha, beta, gamma in _terms(fa, fb):
+    for alpha, beta, gamma in _terms(A, B):
         if not (alpha or beta):
             fixed += abs(gamma)
             continue

@@ -19,7 +19,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .distortion import (
     PreconditionFailed,
@@ -103,8 +103,9 @@ _DY = (0, 0, 1, -1, 0, 0)
 _DZ = (0, 0, 0, 0, 1, -1)
 
 
-def _closed_walks(length: int) -> list[bytes]:
-    """Self-avoiding closed walks of the exact length, first step x+.
+def _closed_walks(length: int, emit: Callable[[bytes], object]) -> None:
+    """Hand each self-avoiding closed walk of the exact length, first step
+    x+, to ``emit`` as the search completes it; no list of walks is kept.
 
     Direction-canonical pruning keeps the tree small: the first step off the
     x-axis must be y+, and the first z-axis step must be z+.  Every isometry
@@ -113,7 +114,6 @@ def _closed_walks(length: int) -> list[bytes]:
     y/z directions), and the canonical-form dedup afterwards removes the
     remaining redundancy.
     """
-    results: list[tuple[int, ...]] = []
     steps = [0]
     base = 2 * length + 1
     visited = {0}  # encoded origin
@@ -122,7 +122,7 @@ def _closed_walks(length: int) -> list[bytes]:
         remaining = length - len(steps)
         if remaining == 0:
             if x == 0 and y == 0 and z == 0:
-                results.append(bytes(steps))
+                emit(bytes(steps))
             return
         if abs(x) + abs(y) + abs(z) > remaining:
             return
@@ -147,7 +147,6 @@ def _closed_walks(length: int) -> list[bytes]:
         visited.discard(key)
 
     rec(1, 0, 0, False, False)
-    return results
 
 
 def enumerate_conformations(
@@ -166,7 +165,8 @@ def enumerate_conformations(
             f"max_edge_length {max_edge_length} exceeds the configured cap {cap}"
         )
     for length in range(4, max_edge_length + 1, 2):
-        classes = {_canonical_codes(w) for w in _closed_walks(length)}
+        classes: set[bytes] = set()
+        _closed_walks(length, lambda walk: classes.add(_canonical_codes(walk)))
         for codes in sorted(classes):
             yield LatticeKnot([_DIRS[c] for c in codes])
 

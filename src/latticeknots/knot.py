@@ -1,9 +1,10 @@
 """Lattice knots: stick types, tabulations, construction and validation.
 
 A lattice knot is a closed, simple, axis-parallel polygon in the cubic
-lattice.  It is stored as the full cyclic sequence of unit steps together
-with every integer point it visits, so the vertex set is exactly the set of
-stored vertices and two sticks intersect iff they share a stored point.
+lattice.  It is stored as the full cyclic sequence of unit steps, every
+integer point it visits in traversal order, and its sticks, each with its
+end points and box computed once at construction.  No index from points to
+positions is kept: validation uses a set that is dropped afterwards.
 
 Knots can be built from a tabulation (a cyclic stick-type sequence paired
 with per-axis columns of stick lengths, consumed in order) or from an
@@ -13,6 +14,7 @@ explicit cyclic vertex list.
 from __future__ import annotations
 
 import enum
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -177,13 +179,22 @@ class Tabulation:
         return sum(self.stick_lengths())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Stick:
-    """A maximal straight segment: its type, length, and starting vertex index."""
+    """A maximal straight segment and its geometry.
+
+    ``start`` is the index of its initial vertex, ``start_point`` and
+    ``end_point`` are its two ends in traversal order, and ``lo``/``hi`` are
+    the componentwise min and max of the ends: its box.
+    """
 
     type: StickType
     length: int
     start: int
+    start_point: Point
+    end_point: Point
+    lo: Point
+    hi: Point
 
 
 @dataclass(frozen=True)
@@ -209,39 +220,51 @@ class Level:
 class LatticeKnot:
     """A validated closed simple axis-parallel lattice polygon.
 
+    Stores ``steps``, ``vertices`` (every lattice point, in traversal order)
+    and ``sticks`` (each carrying its ends and box); no point index is kept.
     Instances are immutable after construction and safe for concurrent use.
     Orientation is part of the value; :meth:`reverse` returns the opposite
     traversal as a new knot.
     """
 
-    __slots__ = ("steps", "vertices", "sticks", "_point_index")
+    __slots__ = ("steps", "vertices", "sticks")
 
     def __init__(self, steps: Sequence[StickType], origin: Point = (0, 0, 0)):
         steps = tuple(steps)
-        if len(steps) < 4:
+        n = len(steps)
+        if n < 4:
             raise NotClosed("a closed simple lattice polygon needs at least 4 steps")
-        total = [0, 0, 0]
-        for s in steps:
-            total[s.axis] += s.sign
-        if total != [0, 0, 0]:
-            raise NotClosed(f"steps sum to {tuple(total)}, not to zero")
-
-        sticks = _derive_sticks(steps)
-        owner = _vertex_owners(sticks, len(steps))
         vertices: list[Point] = []
-        point_index: dict[Point, int] = {}
         pos = (origin[0], origin[1], origin[2])
-        for i, step in enumerate(steps):
-            if pos in point_index:
-                raise SelfIntersection(pos, (owner[point_index[pos]], owner[i]))
-            point_index[pos] = i
+        for step in steps:
             vertices.append(pos)
             pos = _add(pos, step.step)
+        if pos != vertices[0]:
+            total = tuple(p - q for p, q in zip(pos, vertices[0]))
+            raise NotClosed(f"steps sum to {total}, not to zero")
+
+        # sticks start where the direction changes; closed steps cannot all
+        # point one way
+        starts = [i for i in range(n) if steps[i - 1] != steps[i]]
+        if len(set(vertices)) < n:
+            first: dict[Point, int] = {}
+            for i, pos in enumerate(vertices):
+                if pos in first:
+                    # the vertices before the first start lie on the last stick
+                    pair = [(bisect_right(starts, k) - 1) % len(starts)
+                            for k in (first[pos], i)]
+                    raise SelfIntersection(pos, (pair[0], pair[1]))
+                first[pos] = i
+
+        sticks = []
+        for start, end in zip(starts, starts[1:] + [starts[0] + n]):
+            p, q = vertices[start], vertices[end % n]
+            lo, hi = (p, q) if p < q else (q, p)  # the ends differ on one axis
+            sticks.append(Stick(steps[start], end - start, start, p, q, lo, hi))
 
         self.steps = steps
         self.vertices = tuple(vertices)
-        self.sticks = sticks
-        self._point_index = point_index
+        self.sticks = tuple(sticks)
 
     # -- basic queries ------------------------------------------------
 
@@ -260,10 +283,10 @@ class LatticeKnot:
 
     @property
     def point_set(self) -> frozenset[Point]:
-        return frozenset(self._point_index)
+        return frozenset(self.vertices)
 
     def index_of(self, point: Point) -> int:
-        return self._point_index[point]
+        return self.vertices.index(point)
 
     def is_critical(self, i: int) -> bool:
         """True iff vertex ``i`` is an endpoint of a stick (the knot turns there)."""
@@ -283,7 +306,7 @@ class LatticeKnot:
     def stick_points(self, stick_index: int) -> tuple[Point, ...]:
         """All lattice points of one stick, initial and final vertex included."""
         stick = self.sticks[stick_index]
-        pos = self.vertices[stick.start]
+        pos = stick.start_point
         pts = [pos]
         for _ in range(stick.length):
             pos = _add(pos, stick.type.step)
@@ -336,7 +359,7 @@ class LatticeKnot:
         the n-th stick's terminal critical vertex.  Unsigned sums are plain
         cumulative lengths.
         """
-        acc = self.vertices[self.sticks[0].start][axis] if signed else 0
+        acc = self.sticks[0].start_point[axis] if signed else 0
         out = []
         for stick in self.sticks:
             if stick.type.axis != axis:
@@ -353,9 +376,7 @@ class LatticeKnot:
         Returns the tabulation and the vertex it starts from, giving every
         knot a reproducible serialized form.
         """
-        starts = [s.start for s in self.sticks]
-        least = min(starts, key=lambda i: self.vertices[i])
-        offset = starts.index(least)
+        offset = min(range(self.stick_count), key=lambda k: self.sticks[k].start_point)
         ordered = self.sticks[offset:] + self.sticks[:offset]
         columns: list[list[int]] = [[], [], []]
         for stick in ordered:
@@ -365,7 +386,7 @@ class LatticeKnot:
                 tuple(s.type for s in ordered),
                 (tuple(columns[0]), tuple(columns[1]), tuple(columns[2])),
             ),
-            self.vertices[least],
+            ordered[0].start_point,
         )
 
     def reverse(self) -> "LatticeKnot":
@@ -404,35 +425,6 @@ class LatticeKnot:
             f"<LatticeKnot sticks={self.stick_count} "
             f"edge_length={self.edge_length} origin={self.origin}>"
         )
-
-
-def _derive_sticks(steps: tuple[StickType, ...]) -> tuple[Stick, ...]:
-    """Group the cyclic step sequence into maximal same-direction runs."""
-    n = len(steps)
-    first = next((i for i in range(n) if steps[i - 1] != steps[i]), None)
-    if first is None:
-        raise NotClosed("all steps point the same way")
-    sticks = []
-    i = first
-    seen = 0
-    while seen < n:
-        direction = steps[i]
-        length = 1
-        while steps[(i + length) % n] == direction and length < n:
-            length += 1
-        sticks.append(Stick(direction, length, i))
-        i = (i + length) % n
-        seen += length
-    return tuple(sticks)
-
-
-def _vertex_owners(sticks: tuple[Stick, ...], n: int) -> list[int]:
-    """Map each vertex index to the stick it starts or lies inside of."""
-    owner = [0] * n
-    for idx, stick in enumerate(sticks):
-        for k in range(stick.length):
-            owner[(stick.start + k) % n] = idx
-    return owner
 
 
 def build_knot(tab: Tabulation, origin: Point = (0, 0, 0)) -> LatticeKnot:

@@ -126,7 +126,7 @@ def _rebuild(K: LatticeKnot, plan: _Plan, amount: int) -> LatticeKnot:
     moved = {lead, *plan.translating}
     corners = []
     for idx, stick in enumerate(K.sticks):
-        start = K.vertices[stick.start]
+        start = stick.start_point
         corners.append(_shift(start, plan.delta, amount) if idx in moved else start)
     return knot_from_vertices(corners)
 
@@ -153,19 +153,15 @@ def _first_collision(
     """
     axis = K.sticks[plan.target].type.axis
     sign = plan.delta[axis]
-    n = K.edge_length
-    boxes = []
-    for stick in K.sticks:
-        ends = (K.vertices[stick.start], K.vertices[(stick.start + stick.length) % n])
-        boxes.append((min(ends), max(ends)))  # ends differ on one axis only
     moving = {plan.target, plan.absorber, *plan.translating}
     hits = []
     for rank, idx in enumerate(plan.translating):
-        start = K.vertices[K.sticks[idx].start]
-        lo, hi = boxes[idx]
-        run = K.sticks[idx].type.axis
+        stick = K.sticks[idx]
+        start, lo, hi = stick.start_point, stick.lo, stick.hi
+        run = stick.type.axis
         fixed = 3 - axis - run
-        for s_idx, (s_lo, s_hi) in enumerate(boxes):
+        for s_idx, static in enumerate(K.sticks):
+            s_lo, s_hi = static.lo, static.hi
             if s_idx in moving or s_hi[run] < lo[run] or hi[run] < s_lo[run]:
                 continue
             if not s_lo[fixed] <= start[fixed] <= s_hi[fixed]:

@@ -365,8 +365,7 @@ def verify_collinearity(p: int) -> CollinearityReport:
 def _collinearity(p: int, K: LatticeKnot) -> CollinearityReport:
     ends: dict[StickType, list[tuple[Point, Point]]] = {t: [] for t in StickType}
     for stick in K.sticks:
-        end = (stick.start + stick.length) % K.edge_length
-        ends[stick.type].append((K.vertices[stick.start], K.vertices[end]))
+        ends[stick.type].append((stick.start_point, stick.end_point))
 
     z_plus_initials = tuple(start for start, _ in ends[StickType.ZP])
     final_three = tuple(start for start, _ in ends[StickType.XP][-3:])

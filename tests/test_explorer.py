@@ -89,7 +89,8 @@ def test_enumeration_is_isometry_canonical():
 
 def test_canonical_steps_matches_brute_force_on_all_walks():
     for length in range(4, 13, 2):
-        pending = set(_closed_walks(length))
+        pending: set[bytes] = set()
+        _closed_walks(length, pending.add)
         while pending:
             walk = pending.pop()
             # members of one orbit share its least image: one brute force each

@@ -6,6 +6,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import latticeknots
 import latticeknots.cli
@@ -269,6 +271,157 @@ def test_cli_refuses_huge_input_cleanly(tmp_path, name, text, code):
     assert result.returncode == code, result.stderr
     assert len(result.stderr.splitlines()) == 1, result.stderr
     assert "Traceback" not in result.stderr
+
+
+# Fuzzed inputs keep every number small: a large coordinate or length is a
+# valid knot that is merely big, and test_cli_refuses_huge_input_cleanly
+# covers those under an address-space cap.
+_SMALL = st.integers(-3, 6)
+_TYPE_NAMES = st.sampled_from(["x+", "x-", "y+", "y-", "z+", "z-"])
+_JSON_LEAVES = st.none() | st.booleans() | _SMALL | _TYPE_NAMES | st.text(max_size=4)
+_JSON_VALUES = st.recursive(
+    _JSON_LEAVES,
+    lambda inner: st.lists(inner, max_size=5)
+    | st.dictionaries(
+        st.sampled_from(["types", "lengths", "origin", "torus_p", "x", "y", "z"]),
+        inner,
+        max_size=4,
+    ),
+    max_leaves=16,
+)
+_TABULATIONS = st.fixed_dictionaries(
+    {
+        "types": st.lists(_TYPE_NAMES, max_size=12),
+        "lengths": st.fixed_dictionaries(
+            {}, optional={axis: st.lists(_SMALL, max_size=5) for axis in "xyz"}
+        ),
+    },
+    optional={"origin": st.lists(_SMALL, max_size=4), "torus_p": _SMALL},
+)
+
+
+@st.composite
+def _axis_walks(draw):
+    """Moves (axis, nonzero delta) of a walk from the origin, often closed
+    and sometimes simple, so that some inputs are knots."""
+    moves = draw(
+        st.lists(st.tuples(st.integers(0, 2), st.integers(-3, 3).filter(bool)),
+                 max_size=8)
+    )
+    if draw(st.booleans()):
+        end = [sum(d for a, d in moves if a == axis) for axis in range(3)]
+        moves += [(axis, -end[axis]) for axis in range(3) if end[axis]]
+    return moves
+
+
+def _walk_tabulation(moves):
+    lengths = {"x": [], "y": [], "z": []}
+    for axis, delta in moves:
+        lengths["xyz"[axis]].append(abs(delta))
+    types = ["xyz"[axis] + ("+" if delta > 0 else "-") for axis, delta in moves]
+    return {"types": types, "lengths": lengths}
+
+
+def _walk_rows(moves):
+    point, rows = [0, 0, 0], ["0,0,0"]
+    for axis, delta in moves:
+        point[axis] += delta
+        rows.append(",".join(map(str, point)))
+    return rows[:-1] if point == [0, 0, 0] else rows
+
+
+# Valid knots that the mutations below start from.
+_SEED_TABULATIONS = [json.loads(TREFOIL_JSON), json.loads("{" + SQUARE_FIELDS + "}")]
+_SEED_ROWS = [
+    knot_to_vertex_csv(K).splitlines()[1:] for K in (torus_knot(2), torus_knot(3))
+]
+
+
+@st.composite
+def _mutated_tabulations(draw):
+    data = dict(draw(st.sampled_from(_SEED_TABULATIONS)))
+    key = draw(st.sampled_from(["types", "lengths", "origin", "torus_p"]))
+    choice = draw(st.integers(0, 2))
+    if choice == 1:
+        data.pop(key, None)
+    elif choice == 2:
+        data[key] = draw(_SMALL if key == "torus_p" else _JSON_VALUES)
+    return data
+
+
+_JSON_TEXTS = (
+    st.one_of(
+        _mutated_tabulations(),
+        _axis_walks().map(_walk_tabulation),
+        _TABULATIONS,
+        _JSON_VALUES,
+    ).map(json.dumps)
+    | st.text(alphabet='{}[]",: 0123456789xyz+-truefalsn', max_size=40)
+)
+
+
+@st.composite
+def _vertex_csv_texts(draw):
+    """The rows of a walk or of a torus knot, with some rows dropped or
+    moved, and junk lines and a header mixed in."""
+    if draw(st.booleans()):
+        lines = list(draw(st.sampled_from(_SEED_ROWS)))
+        for _ in range(draw(st.integers(0, 2))):
+            row = lines.pop(draw(st.integers(0, len(lines) - 1)))
+            if draw(st.booleans()):
+                lines.insert(draw(st.integers(0, len(lines))), row)
+    else:
+        lines = _walk_rows(draw(_axis_walks()))
+    for _ in range(draw(st.integers(0, 2))):
+        junk = draw(st.text(alphabet=",-x \t01", max_size=6))
+        lines.insert(draw(st.integers(0, len(lines))), junk)
+    if draw(st.booleans()):
+        lines.insert(0, "x,y,z,critical")
+    return "\n".join(lines) + "\n"
+
+
+_FUZZ_COMMANDS = st.sampled_from(
+    [
+        ["validate"],
+        ["distortion", "--pairs"],
+        ["reduce", "--check-irreducible"],
+        ["export", "--format", "csv"],
+        ["export", "--format", "json"],
+        ["export", "--format", "obj"],
+    ]
+)
+_FUZZ_SETTINGS = settings(
+    derandomize=True,
+    deadline=None,
+    max_examples=100,
+    suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
+)
+
+
+def _run_fuzzed(tmp_path, name, text, command):
+    target = tmp_path / name
+    target.write_text(text)
+    assert main([command[0], str(target), *command[1:]]) in (0, 1, 2)
+
+
+@_FUZZ_SETTINGS
+@given(
+    text=_JSON_TEXTS,
+    name=st.sampled_from(["knot.json", "knot.txt"]),
+    command=_FUZZ_COMMANDS,
+)
+def test_cli_fuzzed_json_exits_cleanly(tmp_path, text, name, command):
+    _run_fuzzed(tmp_path, name, text, command)
+
+
+@_FUZZ_SETTINGS
+@given(
+    text=_vertex_csv_texts(),
+    name=st.sampled_from(["knot.csv", "knot.txt"]),
+    command=_FUZZ_COMMANDS,
+)
+def test_cli_fuzzed_vertex_csv_exits_cleanly(tmp_path, text, name, command):
+    _run_fuzzed(tmp_path, name, text, command)
 
 
 def test_cli_validate_missing_file(capsys):

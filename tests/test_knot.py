@@ -1,6 +1,9 @@
+import tracemalloc
+
 import pytest
 
 from latticeknots import (
+    LatticeKnot,
     LengthMismatch,
     NonAxisParallel,
     NotClosed,
@@ -57,8 +60,32 @@ def test_tampered_z_column_self_intersects():
     with pytest.raises(SelfIntersection) as exc:
         build_knot(tab)
     assert exc.value.point == (1, 0, 2)
-    first, second = exc.value.stick_indices
-    assert first < second
+    assert exc.value.stick_indices == (1, 8)
+
+
+def test_self_intersection_before_first_stick_start_is_on_last_stick():
+    # two unit squares touching at the origin; the walk starts inside its
+    # closing x+ stick (sticks start at indices 1, 2, 3, 5, 6, 7), so the
+    # origin, visited first at index 0, belongs to the last stick
+    steps = [StickType.parse(t) for t in "x+ y- x- y+ y+ x- y- x+".split()]
+    with pytest.raises(SelfIntersection) as exc:
+        LatticeKnot(steps)
+    assert exc.value.point == (0, 0, 0)
+    assert exc.value.stick_indices == (5, 2)
+
+
+def test_long_rectangle_retains_at_most_150_bytes_per_edge():
+    # steps, vertices and four sticks; a retained point index would add ~80 B
+    corners = [(0, 0, 0), (100_000, 0, 0), (100_000, 1, 0), (0, 1, 0)]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        K = knot_from_vertices(corners)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert K.edge_length == 200_002
+    assert retained <= 150 * K.edge_length
 
 
 def test_tabulation_column_validation():
