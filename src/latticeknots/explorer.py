@@ -98,33 +98,33 @@ def _canonical_codes(codes: bytes) -> bytes:
     return min(candidates)
 
 
-_DX = (1, -1, 0, 0, 0, 0)
-_DY = (0, 0, 1, -1, 0, 0)
-_DZ = (0, 0, 0, 0, 1, -1)
+_DX, _DY, _DZ = zip(*(t.step for t in _DIRS))
 
 
-def _closed_walks(length: int, emit: Callable[[bytes], object]) -> None:
-    """Hand each self-avoiding closed walk of the exact length, first step
-    x+, to ``emit`` as the search completes it; no list of walks is kept.
+def _closed_walks(max_length: int, emit: Callable[[bytes], object]) -> None:
+    """Hand each self-avoiding closed walk of length 4..max_length, first
+    step x+, to ``emit`` as one depth-first search completes it, in search
+    order, not by length; no list of walks is kept.
 
-    Direction-canonical pruning keeps the tree small: the first step off the
-    x-axis must be y+, and the first z-axis step must be z+.  Every isometry
-    class keeps at least one surviving rooted traversal (map any traversal's
-    first step to x+, then use the stabilizer of x+ to normalize the first
-    y/z directions), and the canonical-form dedup afterwards removes the
+    A walk ends where it returns to the origin; a return after two steps
+    only retraces the first edge and is skipped.  Direction-canonical
+    pruning keeps the tree small: the first step off the x-axis must be y+,
+    and the first z-axis step must be z+.  Every isometry class keeps at
+    least one surviving rooted traversal (map any traversal's first step to
+    x+, then use the stabilizer of x+ to normalize the first y/z
+    directions), and the canonical-form dedup afterwards removes the
     remaining redundancy.
     """
     steps = [0]
-    base = 2 * length + 1
-    visited = {0}  # encoded origin
+    base = 2 * max_length + 1
+    visited: set[int] = set()
 
     def rec(x: int, y: int, z: int, seen_y: bool, seen_z: bool) -> None:
-        remaining = length - len(steps)
-        if remaining == 0:
-            if x == 0 and y == 0 and z == 0:
+        if x == 0 and y == 0 and z == 0:
+            if len(steps) > 2:
                 emit(bytes(steps))
             return
-        if abs(x) + abs(y) + abs(z) > remaining:
+        if abs(x) + abs(y) + abs(z) > max_length - len(steps):
             return
         key = (x * base + y) * base + z
         if key in visited:
@@ -164,11 +164,10 @@ def enumerate_conformations(
         raise ValueError(
             f"max_edge_length {max_edge_length} exceeds the configured cap {cap}"
         )
-    for length in range(4, max_edge_length + 1, 2):
-        classes: set[bytes] = set()
-        _closed_walks(length, lambda walk: classes.add(_canonical_codes(walk)))
-        for codes in sorted(classes):
-            yield LatticeKnot([_DIRS[c] for c in codes])
+    classes: set[bytes] = set()
+    _closed_walks(max_edge_length, lambda walk: classes.add(_canonical_codes(walk)))
+    for codes in sorted(classes, key=lambda c: (len(c), c)):
+        yield LatticeKnot([_DIRS[c] for c in codes])
 
 
 def conformation_counts(max_edge_length: int, cap: int = 16) -> dict[int, int]:

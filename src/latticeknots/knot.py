@@ -58,7 +58,13 @@ class NonAxisParallel(KnotError):
 
 
 class StickType(enum.Enum):
-    """One of the six oriented axis directions."""
+    """One of the six oriented axis directions.
+
+    Each member carries its ``axis`` (0, 1, 2 for x, y, z), ``sign`` (+1 or
+    -1) and unit ``step``, set once when the enum is built.  Definition
+    order is the census code: the explorer encodes a member by its position,
+    so reordering the members changes every canonical form and census order.
+    """
 
     XP = "x+"
     XM = "x-"
@@ -67,21 +73,14 @@ class StickType(enum.Enum):
     ZP = "z+"
     ZM = "z-"
 
-    @property
-    def axis(self) -> int:
-        return _AXIS[self]
-
-    @property
-    def sign(self) -> int:
-        return _SIGN[self]
-
-    @property
-    def step(self) -> Point:
-        return _STEP[self]
+    def __init__(self, value: str) -> None:
+        self.axis = AXIS_NAMES.index(value[0])
+        self.sign = 1 if value[1] == "+" else -1
+        self.step = tuple(self.sign if a == self.axis else 0 for a in AXES)
 
     @property
     def opposite(self) -> "StickType":
-        return _OPPOSITE[self]
+        return _BY_AXIS_SIGN[(self.axis, -self.sign)]
 
     @classmethod
     def from_axis_sign(cls, axis: int, sign: int) -> "StickType":
@@ -98,15 +97,7 @@ class StickType(enum.Enum):
         return self.value
 
 
-_AXIS = {t: AXIS_NAMES.index(t.value[0]) for t in StickType}
-_SIGN = {t: 1 if t.value[1] == "+" else -1 for t in StickType}
-_STEP = {
-    t: tuple(_SIGN[t] if axis == _AXIS[t] else 0 for axis in AXES) for t in StickType
-}
-_OPPOSITE = {
-    t: StickType(t.value[0] + ("-" if t.value[1] == "+" else "+")) for t in StickType
-}
-_BY_AXIS_SIGN = {(_AXIS[t], _SIGN[t]): t for t in StickType}
+_BY_AXIS_SIGN = {(t.axis, t.sign): t for t in StickType}
 
 
 def _add(p: Point, q: Point) -> Point:

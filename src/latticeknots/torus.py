@@ -15,6 +15,7 @@ the generic knot validator independently reverifies simplicity.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -414,20 +415,24 @@ class StructureReport:
         )
 
 
+def _arc_counts(K: LatticeKnot) -> Counter[tuple[int, int]]:
+    """Number of arcs in each plane (axis, value) that the knot meets in any.
+
+    Each arc ends where the knot leaves its plane: at the start of a stick
+    along the plane's axis, whose predecessor (never on the same axis in a
+    simple knot) ran inside the plane.  So every stick ends one arc, in the
+    plane through its start across its own axis.  A knot lying in one plane
+    has no stick across it and no count there; ``level`` gives it one arc.
+    """
+    return Counter((s.type.axis, s.start_point[s.type.axis]) for s in K.sticks)
+
+
 def _levels_single_arc(K: LatticeKnot, p: int) -> bool:
-    """Every level holds at most one arc, except x-level 2 with p - 1."""
-    box = K.bounding_box()
-    for axis in range(3):
-        lo = box.min_corner[axis]
-        hi = box.max_corner[axis]
-        for value in range(lo, hi + 1):
-            arcs = len(K.level(axis, value).arcs)
-            if axis == 0 and value == 2:
-                if arcs != p - 1:
-                    return False
-            elif arcs > 1:
-                return False
-    return True
+    """x-level 2 holds p - 1 arcs and every other level at most one, counted
+    from the sticks: the cost follows sticks, not planes times points.
+    """
+    arcs = _arc_counts(K)
+    return arcs.pop((0, 2), 0) == p - 1 and all(n == 1 for n in arcs.values())
 
 
 def verify_structure(p: int) -> StructureReport:

@@ -88,17 +88,17 @@ def test_enumeration_is_isometry_canonical():
 
 
 def test_canonical_steps_matches_brute_force_on_all_walks():
-    for length in range(4, 13, 2):
-        pending: set[bytes] = set()
-        _closed_walks(length, pending.add)
-        while pending:
-            walk = pending.pop()
-            # members of one orbit share its least image: one brute force each
-            orbit = set(all_images(walk))
-            least = tuple(min(orbit))
-            for member in (pending & orbit) | {walk}:
-                assert canonical_steps([STEPS[c] for c in member]) == least
-            pending -= orbit
+    pending: set[bytes] = set()
+    _closed_walks(12, pending.add)
+    assert {len(walk) for walk in pending} == {4, 6, 8, 10, 12}
+    while pending:
+        walk = pending.pop()
+        # members of one orbit share its least image: one brute force each
+        orbit = set(all_images(walk))
+        least = tuple(min(orbit))
+        for member in (pending & orbit) | {walk}:
+            assert canonical_steps([STEPS[c] for c in member]) == least
+        pending -= orbit
 
 
 def test_canonical_steps_matches_brute_force_on_images():
@@ -131,6 +131,14 @@ def test_orbit_counting_identity():
 def test_conformation_count_at_fourteen_frozen():
     counts = conformation_counts(14, cap=16)
     assert counts == {**EXPECTED_COUNTS, 12: 755, 14: 9760}
+
+
+def test_enumeration_order_is_length_then_canonical_code():
+    keys = [
+        (K.edge_length, canonical_steps(K.steps)) for K in enumerate_conformations(10)
+    ]
+    # lengths never decrease; within a length, codes strictly increase
+    assert all(a < b for a, b in zip(keys, keys[1:]))
 
 
 def test_enumerated_knots_are_valid_and_deduplicated():

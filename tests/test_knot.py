@@ -275,9 +275,19 @@ def test_signed_stick_sums_vanish_per_axis(trefoil, cube_hexagon):
 
 
 def test_stick_type_alphabet():
-    assert len(StickType) == 6
-    assert StickType.parse("z-") is StickType.ZM
-    assert StickType.ZM.opposite is StickType.ZP
-    assert StickType.XP.step == (1, 0, 0)
+    steps = {
+        "x+": (1, 0, 0), "x-": (-1, 0, 0),
+        "y+": (0, 1, 0), "y-": (0, -1, 0),
+        "z+": (0, 0, 1), "z-": (0, 0, -1),
+    }
+    assert [str(t) for t in StickType] == list(steps)
+    for t in StickType:
+        step = steps[str(t)]
+        axis = next(a for a in range(3) if step[a])
+        assert (t.axis, t.sign, t.step) == (axis, step[axis], step)
+        assert t.opposite is not t and t.opposite.opposite is t
+        assert t.opposite.step == tuple(-c for c in step)
+        assert StickType.from_axis_sign(t.axis, t.sign) is t
+        assert StickType.parse(str(t)) is t
     with pytest.raises(ValueError):
         StickType.parse("w+")

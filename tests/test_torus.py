@@ -1,10 +1,20 @@
+import random
+
 import pytest
 
-from latticeknots import build_knot, generate_torus_tabulation, torus_knot
-from latticeknots.knot import StickType
+from latticeknots import (
+    build_knot,
+    enumerate_conformations,
+    generate_torus_tabulation,
+    random_lattice_knot,
+    torus_knot,
+)
+from latticeknots.knot import LatticeKnot, StickType
 from latticeknots.lattice import are_coplanar
 from latticeknots.torus import (
     ClosureSumReport,
+    _arc_counts,
+    _verify_structure,
     distortion_formula_even_large,
     distortion_formula_even_small,
     distortion_formula_odd,
@@ -189,6 +199,38 @@ def test_every_level_has_at_most_one_arc_except_x2():
                 assert arcs == 3
             else:
                 assert arcs <= 1
+
+
+def test_arc_counts_from_sticks_match_levels():
+    knots = [torus_knot(p) for p in range(2, 16)]
+    knots += list(enumerate_conformations(10))
+    rng = random.Random(7)
+    knots += [random_lattice_knot(rng, 40) for _ in range(200)]
+    for K in knots:
+        counts = _arc_counts(K)
+        box = K.bounding_box()
+        for axis in range(3):
+            lo, hi = box.min_corner[axis], box.max_corner[axis]
+            for value in range(lo, hi + 1):
+                arcs = len(K.level(axis, value).arcs)
+                if lo == hi:
+                    # a planar knot is one arc of its own plane, crossed by no stick
+                    assert (counts[axis, value], arcs) == (0, 1)
+                else:
+                    assert counts[axis, value] == arcs, (K, axis, value)
+
+
+def test_structure_checks_read_at_most_x_level_2(monkeypatch):
+    calls = []
+    level = LatticeKnot.level
+
+    def counting_level(K, axis, value):
+        calls.append((axis, value))
+        return level(K, axis, value)
+
+    monkeypatch.setattr(LatticeKnot, "level", counting_level)
+    assert _verify_structure(6, torus_knot(6)).ok
+    assert calls in ([], [(0, 2)])
 
 
 def test_distortion_formulas():
