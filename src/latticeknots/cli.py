@@ -217,7 +217,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_dis = sub.add_parser("distortion", help="exact vertex distortion of a knot")
     p_dis.add_argument("input")
     p_dis.add_argument("--pairs", action="store_true")
-    p_dis.add_argument("--oracle", action="store_true")
+    p_dis.add_argument(
+        "--oracle",
+        action="store_true",
+        help="recompute the value and pairs by breadth-first search in O(n^2) "
+        "time; exit 1 if they disagree",
+    )
     p_dis.set_defaults(func=cmd_distortion)
 
     p_red = sub.add_parser("reduce", help="apply a stick reduction or test all")

@@ -61,9 +61,10 @@ class StickType(enum.Enum):
     """One of the six oriented axis directions.
 
     Each member carries its ``axis`` (0, 1, 2 for x, y, z), ``sign`` (+1 or
-    -1) and unit ``step``, set once when the enum is built.  Definition
-    order is the census code: the explorer encodes a member by its position,
-    so reordering the members changes every canonical form and census order.
+    -1), unit ``step`` and ``opposite`` member, set once when the enum is
+    built.  Definition order is the census code: the explorer encodes a
+    member by its position, so reordering the members changes every
+    canonical form and census order.
     """
 
     XP = "x+"
@@ -77,10 +78,6 @@ class StickType(enum.Enum):
         self.axis = AXIS_NAMES.index(value[0])
         self.sign = 1 if value[1] == "+" else -1
         self.step = tuple(self.sign if a == self.axis else 0 for a in AXES)
-
-    @property
-    def opposite(self) -> "StickType":
-        return _BY_AXIS_SIGN[(self.axis, -self.sign)]
 
     @classmethod
     def from_axis_sign(cls, axis: int, sign: int) -> "StickType":
@@ -98,6 +95,9 @@ class StickType(enum.Enum):
 
 
 _BY_AXIS_SIGN = {(t.axis, t.sign): t for t in StickType}
+for _t in StickType:
+    _t.opposite = _BY_AXIS_SIGN[(_t.axis, -_t.sign)]
+del _t
 
 
 def _add(p: Point, q: Point) -> Point:
@@ -293,16 +293,6 @@ class LatticeKnot:
         if not 0 <= i < n:
             raise IndexError(f"vertex index {i} out of range")
         return (i + n // 2) % n
-
-    def stick_points(self, stick_index: int) -> tuple[Point, ...]:
-        """All lattice points of one stick, initial and final vertex included."""
-        stick = self.sticks[stick_index]
-        pos = stick.start_point
-        pts = [pos]
-        for _ in range(stick.length):
-            pos = _add(pos, stick.type.step)
-            pts.append(pos)
-        return tuple(pts)
 
     def arc_between(self, i: int, j: int) -> tuple[Point, ...]:
         """Vertices from ``i`` forward (in orientation) to ``j``, inclusive."""

@@ -1,8 +1,8 @@
 """Integer lattice geometry.
 
 Points of the cubic lattice are plain ``(x, y, z)`` integer tuples.  Everything
-in this module is exact: distances and walk counts are integers, ranks are
-computed over the rationals, and no floating point is used anywhere.
+in this module is exact: distances, walk counts and ranks are integers,
+and no floating point is used anywhere.
 """
 
 from __future__ import annotations
@@ -10,7 +10,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 Point = tuple[int, int, int]
@@ -91,13 +90,6 @@ class Box:
             self.min_corner[axis] <= p[axis] <= self.max_corner[axis] for axis in AXES
         )
 
-    def on_boundary(self, p: Point) -> bool:
-        """True iff ``p`` lies in the box and touches one of its faces."""
-        return self.contains(p) and any(
-            p[axis] == self.min_corner[axis] or p[axis] == self.max_corner[axis]
-            for axis in AXES
-        )
-
 
 def bounding_box(points: Iterable[Point]) -> Box:
     """Smallest axis-aligned box containing all the points."""
@@ -146,27 +138,28 @@ def apply_isometry(iso: Isometry, p: Point) -> Point:
 
 
 def affine_rank(points: Sequence[Point]) -> int:
-    """Rank of the differences p_i - p_0, computed exactly over the rationals.
+    """Rank of the differences p_i - p_0, by fraction-free integer elimination.
 
-    0 for a single point, 1 for collinear sets, 2 for coplanar sets.
+    0 for a single point, 1 for collinear sets, 2 for coplanar sets.  Each
+    row is eliminated by cross multiplication with the pivot row, so every
+    entry stays an exact integer.
     """
     if len(points) < 2:
         return 0
-    base = points[0]
-    rows = [
-        [Fraction(p[axis] - base[axis]) for axis in AXES] for p in points[1:]
-    ]
+    bx, by, bz = points[0]
+    rows = [[x - bx, y - by, z - bz] for x, y, z in points[1:]]
     rank = 0
     for col in AXES:
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
         if pivot is None:
             continue
         rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        lead = rows[rank][col]
+        lead_row = rows[rank]
+        lead = lead_row[col]
         for r in range(rank + 1, len(rows)):
-            if rows[r][col] != 0:
-                factor = rows[r][col] / lead
-                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[rank])]
+            factor = rows[r][col]
+            if factor:
+                rows[r] = [lead * a - factor * b for a, b in zip(rows[r], lead_row)]
         rank += 1
         if rank == 3:
             break

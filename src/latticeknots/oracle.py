@@ -2,49 +2,53 @@
 
 This module deliberately avoids the arc-position formula and the stick-pair
 kernel in :mod:`latticeknots.distortion`.  It builds the knot's unit-step graph
-from vertex adjacency, measures distances by breadth-first traversal, and
-maximizes the ratio with a plain loop using integer cross multiplication.
-The two routes must agree exactly; tests and the CLI ``--oracle`` flag check
-that they do.
+once, as neighbour lists of vertex indices joined along consecutive vertices,
+measures distances by breadth-first traversal into a flat list, and maximizes
+the ratio with a plain loop using integer cross multiplication.  The two
+routes must agree exactly; tests and the CLI ``--oracle`` flag check that
+they do.
+
+Each BFS row is first filtered against the best ratio at the start of the
+row: a pair whose ratio is below it stays below the best, which only grows,
+so the loop would neither keep nor replace anything for it.  The loop then
+sees the remaining pairs in the same ascending order, so the value and the
+realizing pairs are exactly those of the unfiltered loop.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from fractions import Fraction
 
 from .knot import LatticeKnot
-from .lattice import Point
 
 
-def knot_graph(K: LatticeKnot) -> dict[Point, list[Point]]:
-    """Adjacency of the knot's lattice points along its unit edges."""
-    adj: dict[Point, list[Point]] = {v: [] for v in K.vertices}
+def knot_graph(K: LatticeKnot) -> list[list[int]]:
+    """Neighbour lists of vertex indices along the knot's unit edges."""
     n = len(K.vertices)
+    adj: list[list[int]] = [[] for _ in range(n)]
     for i in range(n):
-        p = K.vertices[i]
-        q = K.vertices[(i + 1) % n]
-        adj[p].append(q)
-        adj[q].append(p)
+        j = (i + 1) % n
+        adj[i].append(j)
+        adj[j].append(i)
     return adj
 
 
-def _bfs(adj: dict[Point, list[Point]], start: Point) -> dict[Point, int]:
-    dist = {start: 0}
-    queue = deque([start])
-    while queue:
-        p = queue.popleft()
+def _bfs(adj: list[list[int]], source: int) -> list[int]:
+    dist = [-1] * len(adj)
+    dist[source] = 0
+    queue = [source]
+    for p in queue:
+        d = dist[p] + 1
         for q in adj[p]:
-            if q not in dist:
-                dist[q] = dist[p] + 1
+            if dist[q] < 0:
+                dist[q] = d
                 queue.append(q)
     return dist
 
 
 def bfs_distances(K: LatticeKnot, source: int) -> list[int]:
     """Graph distance from vertex ``source`` to every vertex, by index."""
-    dist = _bfs(knot_graph(K), K.vertices[source])
-    return [dist[v] for v in K.vertices]
+    return _bfs(knot_graph(K), source)
 
 
 def vertex_distortion_oracle(
@@ -55,20 +59,23 @@ def vertex_distortion_oracle(
     Returns the exact maximum ratio and all attaining (i, j) pairs with
     i < j, in ascending order.
     """
-    n = len(K.vertices)
+    vertices = K.vertices
+    n = len(vertices)
     adj = knot_graph(K)
     best_num, best_den = 0, 1
     pairs: list[tuple[int, int]] = []
     for i in range(n):
-        dist = _bfs(adj, K.vertices[i])
-        row = [dist[v] for v in K.vertices]
-        vi = K.vertices[i]
-        for j in range(i + 1, n):
-            vj = K.vertices[j]
-            dk = row[j]
-            d1 = (
-                abs(vi[0] - vj[0]) + abs(vi[1] - vj[1]) + abs(vi[2] - vj[2])
+        row = _bfs(adj, i)
+        xi, yi, zi = vertices[i]
+        survivors = [
+            (j, dk, d1)
+            for j, dk, (x, y, z) in zip(
+                range(i + 1, n), row[i + 1 :], vertices[i + 1 :]
             )
+            if dk * best_den
+            >= best_num * (d1 := abs(xi - x) + abs(yi - y) + abs(zi - z))
+        ]
+        for j, dk, d1 in survivors:
             lhs = dk * best_den
             rhs = best_num * d1
             if lhs > rhs:

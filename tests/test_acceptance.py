@@ -246,7 +246,12 @@ def test_criterion_5_distortion_one_classification():
         report = check_distortion_one_structure(K)
         assert report.ok
         box = K.bounding_box()
-        assert all(box.on_boundary(v) for v in K.vertices)
+        # every vertex lies on a face of the bounding box
+        assert all(
+            box.contains(v)
+            and any(v[a] in (box.min_corner[a], box.max_corner[a]) for a in range(3))
+            for v in K.vertices
+        )
     assert counts == {4: 1, 6: 1, 8: 0, 10: 0, 12: 0}
 
     square = next(K for K in survivors if K.edge_length == 4)

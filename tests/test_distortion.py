@@ -1,4 +1,5 @@
 import random
+from collections import deque
 from fractions import Fraction
 
 import pytest
@@ -155,6 +156,64 @@ def test_bfs_oracle_matches_arc_positions():
             row = bfs_distances(K, i)
             for j in range(K.edge_length):
                 assert row[j] == knot_distance(K, i, j)
+
+
+def reference_graph(K):
+    """Adjacency keyed by lattice point, built from consecutive vertices."""
+    adj = {v: [] for v in K.vertices}
+    n = len(K.vertices)
+    for i in range(n):
+        p, q = K.vertices[i], K.vertices[(i + 1) % n]
+        adj[p].append(q)
+        adj[q].append(p)
+    return adj
+
+
+def reference_bfs_row(K, adj, i):
+    dist = {K.vertices[i]: 0}
+    queue = deque([K.vertices[i]])
+    while queue:
+        p = queue.popleft()
+        for q in adj[p]:
+            if q not in dist:
+                dist[q] = dist[p] + 1
+                queue.append(q)
+    return [dist[v] for v in K.vertices]
+
+
+def reference_oracle(K):
+    """Unfiltered brute force over a point-keyed BFS table."""
+    n = len(K.vertices)
+    adj = reference_graph(K)
+    best_num, best_den = 0, 1
+    pairs = []
+    for i in range(n):
+        row = reference_bfs_row(K, adj, i)
+        for j in range(i + 1, n):
+            dk, d1 = row[j], l1_distance(K.vertices[i], K.vertices[j])
+            if dk * best_den > best_num * d1:
+                best_num, best_den = dk, d1
+                pairs = [(i, j)]
+            elif dk * best_den == best_num * d1:
+                pairs.append((i, j))
+    return Fraction(best_num, best_den), tuple(pairs)
+
+
+def test_oracle_matches_point_keyed_reference():
+    """The index graph and the row pre-filter change no value, pair or order;
+    rectangles and the census tie many pairs at the maximum."""
+    rng = random.Random(31)
+    rectangles = [
+        knot_from_vertices([(0, 0, 0), (a, 0, 0), (a, b, 0), (0, b, 0)])
+        for a in range(1, 9)
+        for b in range(1, 9)
+    ]
+    random_knots = [random_lattice_knot(rng, 60) for _ in range(200)]
+    for K in list(enumerate_conformations(10)) + rectangles + random_knots:
+        assert vertex_distortion_oracle(K) == reference_oracle(K), K
+        adj = reference_graph(K)
+        for i in range(K.edge_length):
+            assert bfs_distances(K, i) == reference_bfs_row(K, adj, i)
 
 
 def dilate(K, factor):

@@ -1,3 +1,6 @@
+import random
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -185,6 +188,29 @@ def test_is_box_corner_agrees_with_corner_membership():
         assert is_box_corner(v, K.vertices) == (v in box.corners)
 
 
+def affine_rank_by_fractions(points):
+    """Reference: Gaussian elimination over the rationals."""
+    if len(points) < 2:
+        return 0
+    base = points[0]
+    rows = [[Fraction(p[axis] - base[axis]) for axis in range(3)] for p in points[1:]]
+    rank = 0
+    for col in range(3):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        lead = rows[rank][col]
+        for r in range(rank + 1, len(rows)):
+            if rows[r][col] != 0:
+                factor = rows[r][col] / lead
+                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[rank])]
+        rank += 1
+        if rank == 3:
+            break
+    return rank
+
+
 def test_affine_rank():
     assert affine_rank([(1, 2, 3)]) == 0
     assert affine_rank([(0, 0, 0), (2, 2, 2), (5, 5, 5)]) == 1
@@ -193,6 +219,23 @@ def test_affine_rank():
     assert are_collinear([(3, 3, -3), (5, 5, -5)])
     assert are_coplanar([(0, 0, 0), (1, 0, 0), (0, 1, 0), (5, 7, 0)])
     assert not are_coplanar([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)])
+
+    # the integer elimination agrees with rational elimination on random
+    # point sets, built to be collinear, coplanar or general
+    rng = random.Random(11)
+    for trial in range(3000):
+        base = [rng.randint(-5, 5) for _ in range(3)]
+        spans = [[rng.randint(-4, 4) for _ in range(3)] for _ in range(trial % 4)]
+        points = [tuple(base)]
+        for _ in range(rng.randint(0, 6)):
+            coeffs = [rng.randint(-3, 3) for _ in spans]
+            points.append(
+                tuple(
+                    base[a] + sum(c * u[a] for c, u in zip(coeffs, spans))
+                    for a in range(3)
+                )
+            )
+        assert affine_rank(points) == affine_rank_by_fractions(points), points
 
 
 @settings(max_examples=25)

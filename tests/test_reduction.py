@@ -173,13 +173,19 @@ def _max_amount_by_rebuilding(K, stick, direction):
     return cap
 
 
+def _stick_points(K, idx):
+    """All lattice points of one stick, initial and final vertex included."""
+    stick = K.sticks[idx]
+    return [_shift(stick.start_point, stick.type.step, k) for k in range(stick.length + 1)]
+
+
 def _static_points(K, plan):
     """Lattice points of the sticks that do not move, keyed to a stick index."""
     moving = {plan.target, plan.absorber, *plan.translating}
     static = {}
     for idx in range(K.stick_count):
         if idx not in moving:
-            for q in K.stick_points(idx):
+            for q in _stick_points(K, idx):
                 static[q] = idx
     return static
 
@@ -187,7 +193,7 @@ def _static_points(K, plan):
 def _first_collision_by_points(K, plan, limit):
     """Reference sweep: shift every point of every translating stick."""
     static = _static_points(K, plan)
-    moving = [(idx, K.stick_points(idx)) for idx in plan.translating]
+    moving = [(idx, _stick_points(K, idx)) for idx in plan.translating]
     for k in range(1, limit + 1):
         for idx, pts in moving:
             for q in pts:
@@ -202,7 +208,7 @@ def _criterion_by_plane(K, plan):
     full = K.sticks[plan.target].length
     static = _static_points(K, plan)
     for idx in plan.translating:
-        pts = K.stick_points(idx)
+        pts = _stick_points(K, idx)
         plane = {_shift(q, plan.delta, k) for q in pts for k in range(full + 1)}
         for s in static:
             if s in plane and min(l1_distance(s, q) for q in pts) == 1:

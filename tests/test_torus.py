@@ -156,7 +156,11 @@ def test_coplanarity_needs_exactly_the_two_exclusions():
             indices = by_type[t][:-1] if drop_last else by_type[t]
             pts = []
             for i in indices:
-                pts.extend(K.stick_points(i))
+                s = K.sticks[i]
+                pts.extend(
+                    tuple(c + k * d for c, d in zip(s.start_point, s.type.step))
+                    for k in range(s.length + 1)
+                )
             return pts
 
         # the two outliers really are outliers
