@@ -19,21 +19,23 @@ from latticeknots import (
 )
 
 print("conformations per edge length (one per isometry class):")
+census = list(enumerate_conformations(12))
 counts = {}
-for K in enumerate_conformations(10):
-    counts[K.edge_length] = counts.get(K.edge_length, 0) + 1
+for K in census:
+    if K.edge_length <= 10:
+        counts[K.edge_length] = counts.get(K.edge_length, 0) + 1
 for length, count in sorted(counts.items()):
     print(f"  {length:2d}: {count}")
 
 print()
 print("the three hexagon classes:")
-for K in enumerate_conformations(6):
+for K in census:
     if K.edge_length == 6:
         print("  ", K.vertices, " distortion", format_exact(vertex_distortion(K).value))
 
 print()
 print("distortion-one survivors up to length 12:")
-for K in classify_distortion_one(12):
+for K in classify_distortion_one(census):
     print("  ", K.vertices)
 
 # A randomized walk through reductions and extensions gives empirical upper

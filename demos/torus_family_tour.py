@@ -28,13 +28,13 @@ print("total length:", sums.total_length, "= 5p^2+3p-2 =", 5 * 25 + 15 - 2)
 
 # Simplicity rests on partial sums: y- and z-levels are hit once each,
 # and only the x-level 2 is revisited.
-partial = verify_partial_sums(5)
+partial = verify_partial_sums(5, K)
 print("z partial sums:", partial.z_sums, "-> distinct:", partial.z_all_distinct)
 print("x partial sums:", partial.x_sums, "-> the value 2 appears",
       partial.x_two_count, "times")
 
 # x-level 2 carries p-1 parallel L-shaped arcs stepping down by (0,-1,-1).
-level2 = verify_x_level_2(5)
+level2 = verify_x_level_2(5, K)
 print("x-level-2 arc initial vertices:", level2.arc_initials)
 print("  (the first sits at (2, 0, 2p-1); a closed form shifted two lower",
       "in z circulates and does not match:", level2.initials_match_shifted_form,
@@ -42,7 +42,7 @@ print("  (the first sits at (2, 0, 2p-1); a closed form shifted two lower",
 
 # Everything at once, for a range of p.
 for p in (2, 3, 7, 10):
-    report = verify_structure(p)
+    report = verify_structure(p, torus_knot(p))
     print(f"p={p}: all structure checks pass -> {report.ok} "
           f"({report.stick_count} sticks, {report.edge_length} edges)")
 

@@ -66,7 +66,6 @@ from .explorer import (
     SearchResult,
     canonical_steps,
     classify_distortion_one,
-    conformation_counts,
     enumerate_conformations,
     random_lattice_knot,
     search_low_distortion,

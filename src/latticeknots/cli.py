@@ -16,7 +16,7 @@ from collections import Counter
 from pathlib import Path
 
 from .distortion import format_exact, vertex_distortion
-from .explorer import classify_distortion_one, conformation_counts
+from .explorer import CENSUS_CAP, classify_distortion_one, enumerate_conformations
 from .io import (
     dump_tabulation_json,
     knot_to_json,
@@ -36,11 +36,12 @@ from .torus import (
     edge_length_formula,
     generate_torus_tabulation,
     torus_knot,
+    verify_structure,
 )
-from .torus import _verify_structure
 
 USAGE_ERROR = 2
 CHECK_ERROR = 1
+SURVEY_CAP = 24  # the survey builds every family member up to --max-p
 
 
 def _write_output(text: str, path: str | None) -> None:
@@ -76,7 +77,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
     if torus_p < 2 or sizes == (K.stick_count, K.edge_length):
         family = torus_knot(torus_p)
         if family.canonical_tabulation()[0] == K.canonical_tabulation()[0]:
-            report = _verify_structure(torus_p, family)
+            report = verify_structure(torus_p, family)
             verdict = "ok" if report.ok else "FAILED"
             print(f"torus structure checks (p={torus_p}): {verdict}")
             return 0 if report.ok else CHECK_ERROR
@@ -145,9 +146,9 @@ def cmd_export(args: argparse.Namespace) -> int:
 
 
 def cmd_survey(args: argparse.Namespace) -> int:
-    if args.max_p > args.cap:
+    if args.max_p > SURVEY_CAP:
         print(
-            f"error: --max-p {args.max_p} exceeds the cap {args.cap}",
+            f"error: --max-p {args.max_p} exceeds the cap {SURVEY_CAP}",
             file=sys.stderr,
         )
         return USAGE_ERROR
@@ -177,20 +178,21 @@ def cmd_survey(args: argparse.Namespace) -> int:
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
+    knots = enumerate_conformations(args.max_length)
+    header = "edge_length,conformations"
     if args.classify:
-        survivors = classify_distortion_one(args.max_length, args.cap)
-        counts = Counter(K.edge_length for K in survivors)
-        print("edge_length,distortion_one_count")
-    else:
-        counts = conformation_counts(args.max_length, args.cap)
-        print("edge_length,conformations")
+        knots = classify_distortion_one(knots)
+        header = "edge_length,distortion_one_count"
+    # counted before the header, so that a refused length prints nothing
+    counts = Counter(K.edge_length for K in knots)
+    print(header)
     for length in range(4, args.max_length + 1, 2):
         print(f"{length},{counts.get(length, 0)}")
     if args.classify and args.golden_dir is not None:
         out_dir = Path(args.golden_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         index: dict[int, int] = {}
-        for K in survivors:
+        for K in knots:
             n = index.get(K.edge_length, 0)
             index[K.edge_length] = n + 1
             name = f"distortion_one_len{K.edge_length:02d}_{n}.csv"
@@ -241,8 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp.set_defaults(func=cmd_export)
 
     p_sur = sub.add_parser("survey", help="distortion table over the torus family")
-    p_sur.add_argument("--max-p", type=int, default=10)
-    p_sur.add_argument("--cap", type=int, default=24)
+    p_sur.add_argument("--max-p", type=int, default=10, help=f"at most {SURVEY_CAP}")
     p_sur.add_argument(
         "--even-formulas",
         action="store_true",
@@ -251,8 +252,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sur.set_defaults(func=cmd_survey)
 
     p_enu = sub.add_parser("enumerate", help="census of small conformations")
-    p_enu.add_argument("--max-length", type=int, required=True)
-    p_enu.add_argument("--cap", type=int, default=16)
+    p_enu.add_argument("--max-length", type=int, required=True,
+                       help=f"an even length from 4 to {CENSUS_CAP}")
     p_enu.add_argument(
         "--classify",
         action="store_true",

@@ -7,10 +7,10 @@ orientation.  Classes are identified by the lexicographically least encoded
 step sequence over the whole group, so counts and output order are
 reproducible across runs.
 
-On top of the enumeration sit the distortion-one census and a randomized
-walk through reduction/extension moves that tracks the lowest distortion
-conformation it encounters (an empirical upper bound for the knot type,
-never a proof of the infimum).
+On top of the enumeration sit the distortion-one filter, which takes the
+enumerated knots, and a randomized walk through reduction/extension moves
+that tracks the lowest distortion conformation it encounters (an empirical
+upper bound for the knot type, never a proof of the infimum).
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .distortion import (
     PreconditionFailed,
@@ -35,6 +35,9 @@ from .reduction import (
     apply_extension,
     apply_reduction,
 )
+
+# the census grows exponentially with length: ~4.4M raw walks at 16 edges
+CENSUS_CAP = 16
 
 _ENCODE = {t: i for i, t in enumerate(StickType)}
 _DIRS: tuple[StickType, ...] = tuple(StickType)
@@ -149,20 +152,20 @@ def _closed_walks(max_length: int, emit: Callable[[bytes], object]) -> None:
     rec(1, 0, 0, False, False)
 
 
-def enumerate_conformations(
-    max_edge_length: int, cap: int = 16
-) -> Iterator[LatticeKnot]:
+def enumerate_conformations(max_edge_length: int) -> Iterator[LatticeKnot]:
     """All conformations up to isometry, shortest first, in canonical order.
 
-    Each emitted knot is built from its canonical step sequence starting at
-    the origin.  The edge-length bound must be even, at least 4, and within
-    the configured cap (enumeration grows exponentially).
+    This is the one census pass: counts and the distortion-one filter read
+    what it yields.  Each emitted knot is built from its canonical step
+    sequence starting at the origin.  The edge-length bound must be even, at
+    least 4, and at most ``CENSUS_CAP``.
     """
     if max_edge_length % 2 != 0 or max_edge_length < 4:
         raise ValueError("max_edge_length must be an even integer >= 4")
-    if max_edge_length > cap:
+    if max_edge_length > CENSUS_CAP:
         raise ValueError(
-            f"max_edge_length {max_edge_length} exceeds the configured cap {cap}"
+            f"max_edge_length {max_edge_length} exceeds the configured cap "
+            f"{CENSUS_CAP}"
         )
     classes: set[bytes] = set()
     _closed_walks(max_edge_length, lambda walk: classes.add(_canonical_codes(walk)))
@@ -170,16 +173,8 @@ def enumerate_conformations(
         yield LatticeKnot([_DIRS[c] for c in codes])
 
 
-def conformation_counts(max_edge_length: int, cap: int = 16) -> dict[int, int]:
-    """Number of isometry classes of conformations at each edge length."""
-    counts: dict[int, int] = {}
-    for K in enumerate_conformations(max_edge_length, cap):
-        counts[K.edge_length] = counts.get(K.edge_length, 0) + 1
-    return counts
-
-
-def classify_distortion_one(max_edge_length: int, cap: int = 16) -> list[LatticeKnot]:
-    """All enumerated conformations whose vertex distortion equals one.
+def classify_distortion_one(knots: Iterable[LatticeKnot]) -> list[LatticeKnot]:
+    """The given knots whose vertex distortion equals one, in their order.
 
     Every survivor is pushed through the structural consequences of the
     distortion-one theorem: each vertex must be a corner of the minimal
@@ -188,7 +183,7 @@ def classify_distortion_one(max_edge_length: int, cap: int = 16) -> list[Lattice
     would falsify the theorem, so it raises immediately.
     """
     survivors = []
-    for K in enumerate_conformations(max_edge_length, cap):
+    for K in knots:
         try:
             report = check_distortion_one_structure(K)
         except PreconditionFailed:
@@ -201,17 +196,15 @@ def classify_distortion_one(max_edge_length: int, cap: int = 16) -> list[Lattice
     return survivors
 
 
-def random_lattice_knot(
-    rng: random.Random, max_edge_length: int = 60, min_edge_length: int = 4
-) -> LatticeKnot:
+def random_lattice_knot(rng: random.Random, max_edge_length: int = 60) -> LatticeKnot:
     """A pseudo-random closed simple lattice cycle, for property tests.
 
     Picks a random even target length and backtracks through self-avoiding
     walks in randomized direction order until one closes up.
     """
-    if min_edge_length < 4 or max_edge_length < min_edge_length:
-        raise ValueError("need 4 <= min_edge_length <= max_edge_length")
-    length = rng.randrange(min_edge_length // 2, max_edge_length // 2 + 1) * 2
+    if max_edge_length < 4:
+        raise ValueError("need max_edge_length >= 4")
+    length = rng.randrange(2, max_edge_length // 2 + 1) * 2
 
     steps: list[StickType] = []
     visited: dict[Point, int] = {}

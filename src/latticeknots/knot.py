@@ -297,6 +297,8 @@ class LatticeKnot:
     def arc_between(self, i: int, j: int) -> tuple[Point, ...]:
         """Vertices from ``i`` forward (in orientation) to ``j``, inclusive."""
         n = self.edge_length
+        if not (0 <= i < n and 0 <= j < n):
+            raise IndexError(f"vertex indices {i}, {j} out of range")
         out = [self.vertices[i]]
         k = i
         while k != j:

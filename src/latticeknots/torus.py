@@ -7,10 +7,12 @@ length columns follow closed forms with three exceptional final rows.  At
 p = 2 the closed forms reproduce the classic 12-stick trefoil table.
 
 The verification helpers recheck every structural fact the construction
-relies on directly from the generated object: closure sums, distinctness of
-partial sums, the arcs in x-level 2, collinearity of critical vertices, and
-coplanarity of the stick families.  Nothing is assumed from the generator;
-the generic knot validator independently reverifies simplicity.
+relies on: closure sums, distinctness of partial sums, the arcs in x-level 2,
+collinearity of critical vertices, and coplanarity of the stick families.
+A fact of the tabulation takes p (``verify_closure_sums``); a fact of the
+knot takes p and the built knot, read from its sticks, so a caller that
+holds the knot never builds it again.  Nothing is assumed from the
+generator; the generic knot validator independently reverifies simplicity.
 """
 
 from __future__ import annotations
@@ -225,11 +227,7 @@ class PartialSumReport:
         )
 
 
-def verify_partial_sums(p: int) -> PartialSumReport:
-    return _partial_sums(p, torus_knot(p))
-
-
-def _partial_sums(p: int, K: LatticeKnot) -> PartialSumReport:
+def verify_partial_sums(p: int, K: LatticeKnot) -> PartialSumReport:
     return PartialSumReport(
         p=p,
         x_sums=K.partial_sums(0),
@@ -288,37 +286,42 @@ class XLevel2Report:
         )
 
 
-def verify_x_level_2(p: int) -> XLevel2Report:
+def verify_x_level_2(p: int, K: LatticeKnot) -> XLevel2Report:
+    """The arcs and isolated points of the plane x = 2, read from the sticks.
+
+    A stick not along x keeps its x, so a cyclic run of such sticks that
+    starts after an x-stick lies in one x-plane and is one arc of it, from
+    the run's first start to its last end.  An x-stick meets x = 2 in an
+    isolated point when the plane passes through its interior.  A knot with
+    no x-stick has no run start and reports no arcs.
+    """
     if p < 3:
         raise ValueError("x-level 2 has its multi-arc structure only for p >= 3")
-    return _x_level_2(p, torus_knot(p))
-
-
-def _x_level_2(p: int, K: LatticeKnot) -> XLevel2Report:
-    level = K.level(0, 2)
+    sticks = K.sticks
     initials = []
     y_lengths = []
     shapes_ok = True
-    for arc in level.arcs:
-        initials.append(K.vertices[arc[0]])
-        moves = [K.steps[i] for i in arc[:-1]]
-        y_part = [m for m in moves if m.axis == 1]
-        z_part = [m for m in moves if m.axis == 2]
-        # an L: one maximal y-stick, then one maximal z-stick, nothing else
-        if (
-            moves != y_part + z_part
-            or len(set(y_part)) != 1
-            or len(set(z_part)) != 1
-        ):
-            shapes_ok = False
-        y_lengths.append(len(y_part))
+    for i, stick in enumerate(sticks):
+        if stick.type.axis == 0 or stick.start_point[0] != 2:
+            continue
+        if sticks[i - 1].type.axis != 0:
+            continue  # inside a run
+        run = [stick]
+        while (nxt := sticks[(i + len(run)) % len(sticks)]).type.axis != 0:
+            run.append(nxt)
+        initials.append(stick.start_point)
+        # an L: one y-stick, then one z-stick, nothing else
+        shapes_ok &= [s.type.axis for s in run] == [1, 2]
+        y_lengths.append(sum(s.length for s in run if s.type.axis == 1))
     return XLevel2Report(
         p=p,
-        arc_count=len(level.arcs),
+        arc_count=len(initials),
         arc_initials=tuple(initials),
         arcs_are_y_then_z=shapes_ok,
         y_leg_lengths=tuple(y_lengths),
-        isolated_point_count=len(level.isolated_points),
+        isolated_point_count=sum(
+            1 for s in sticks if s.type.axis == 0 and s.lo[0] < 2 < s.hi[0]
+        ),
     )
 
 
@@ -357,13 +360,9 @@ class CollinearityReport:
         )
 
 
-def verify_collinearity(p: int) -> CollinearityReport:
+def verify_collinearity(p: int, K: LatticeKnot) -> CollinearityReport:
     if p < 3:
         raise ValueError("the collinearity analysis needs p >= 3")
-    return _collinearity(p, torus_knot(p))
-
-
-def _collinearity(p: int, K: LatticeKnot) -> CollinearityReport:
     ends: dict[StickType, list[tuple[Point, Point]]] = {t: [] for t in StickType}
     for stick in K.sticks:
         ends[stick.type].append((stick.start_point, stick.end_point))
@@ -435,12 +434,8 @@ def _levels_single_arc(K: LatticeKnot, p: int) -> bool:
     return arcs.pop((0, 2), 0) == p - 1 and all(n == 1 for n in arcs.values())
 
 
-def verify_structure(p: int) -> StructureReport:
-    """Build the knot (revalidating simplicity) and run every check for it."""
-    return _verify_structure(p, torus_knot(p))
-
-
-def _verify_structure(p: int, K: LatticeKnot) -> StructureReport:
+def verify_structure(p: int, K: LatticeKnot) -> StructureReport:
+    """Every check for family member p on its built knot ``K``, from sticks."""
     per_axis = tuple(
         sum(1 for s in K.sticks if s.type.axis == axis) for axis in range(3)
     )
@@ -450,8 +445,8 @@ def _verify_structure(p: int, K: LatticeKnot) -> StructureReport:
         stick_count=K.stick_count,
         sticks_per_axis=per_axis,
         closure=verify_closure_sums(p),
-        partial=_partial_sums(p, K),
-        x_level_2=_x_level_2(p, K) if p >= 3 else None,
-        collinearity=_collinearity(p, K) if p >= 3 else None,
+        partial=verify_partial_sums(p, K),
+        x_level_2=verify_x_level_2(p, K) if p >= 3 else None,
+        collinearity=verify_collinearity(p, K) if p >= 3 else None,
         levels_single_arc=_levels_single_arc(K, p),
     )

@@ -20,7 +20,6 @@ from latticeknots import (
     bfs_distances,
     build_knot,
     classify_distortion_one,
-    conformation_counts,
     distortion_upper_bound,
     enumerate_conformations,
     generate_torus_tabulation,
@@ -239,7 +238,8 @@ def test_criterion_4_oracle_equivalence():
 
 def test_criterion_5_distortion_one_classification():
     start = time.perf_counter()
-    survivors = classify_distortion_one(12)
+    knots = list(enumerate_conformations(12))
+    survivors = classify_distortion_one(knots)
     counts = {length: 0 for length in (4, 6, 8, 10, 12)}
     for K in survivors:
         counts[K.edge_length] += 1
@@ -259,7 +259,9 @@ def test_criterion_5_distortion_one_classification():
     hexagon = next(K for K in survivors if K.edge_length == 6)
     assert hexagon.bounding_box().max_corner == (1, 1, 1)
 
-    enumeration = conformation_counts(12)
+    enumeration = {length: 0 for length in (4, 6, 8, 10, 12)}
+    for K in knots:
+        enumeration[K.edge_length] += 1
     assert enumeration == {4: 1, 6: 3, 8: 11, 10: 73, 12: 755}
 
     elapsed = time.perf_counter() - start

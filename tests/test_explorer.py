@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -9,13 +10,13 @@ from latticeknots import (
     apply_isometry,
     canonical_steps,
     classify_distortion_one,
-    conformation_counts,
     enumerate_conformations,
     random_lattice_knot,
     search_low_distortion,
     torus_knot,
     vertex_distortion,
 )
+from latticeknots import explorer
 from latticeknots.explorer import _closed_walks
 from latticeknots.lattice import affine_rank
 
@@ -59,8 +60,12 @@ def test_length_four_is_only_the_unit_square():
     assert knots[0].vertices == ((0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 0))
 
 
+def length_counts(knots):
+    return dict(Counter(K.edge_length for K in knots))
+
+
 def test_conformation_counts_frozen():
-    assert conformation_counts(10) == EXPECTED_COUNTS
+    assert length_counts(enumerate_conformations(10)) == EXPECTED_COUNTS
 
 
 def test_length_six_classes():
@@ -129,8 +134,9 @@ def test_orbit_counting_identity():
 
 
 def test_conformation_count_at_fourteen_frozen():
-    counts = conformation_counts(14, cap=16)
-    assert counts == {**EXPECTED_COUNTS, 12: 755, 14: 9760}
+    assert length_counts(enumerate_conformations(14)) == {
+        **EXPECTED_COUNTS, 12: 755, 14: 9760
+    }
 
 
 def test_enumeration_order_is_length_then_canonical_code():
@@ -151,18 +157,21 @@ def test_enumerated_knots_are_valid_and_deduplicated():
         seen.add(codes)
 
 
-def test_enumeration_argument_validation():
+def test_enumeration_argument_validation(monkeypatch):
     with pytest.raises(ValueError):
         list(enumerate_conformations(5))
     with pytest.raises(ValueError):
         list(enumerate_conformations(2))
     with pytest.raises(ValueError):
-        list(enumerate_conformations(18))  # default cap is 16
-    assert 4 in conformation_counts(4, cap=4)
+        list(enumerate_conformations(18))  # the cap is 16
+    monkeypatch.setattr(explorer, "CENSUS_CAP", 4)
+    assert 4 in length_counts(enumerate_conformations(4))
+    with pytest.raises(ValueError, match="exceeds the configured cap 4"):
+        list(enumerate_conformations(6))
 
 
 def test_classification_finds_square_and_cube_hexagon():
-    survivors = classify_distortion_one(8)
+    survivors = classify_distortion_one(enumerate_conformations(8))
     by_length = {}
     for K in survivors:
         by_length.setdefault(K.edge_length, []).append(K)
@@ -176,8 +185,8 @@ def test_classification_finds_square_and_cube_hexagon():
 
 def test_classification_extends_monotonically():
     """A larger length bound only appends longer conformations."""
-    short = classify_distortion_one(6)
-    longer = classify_distortion_one(10)
+    short = classify_distortion_one(enumerate_conformations(6))
+    longer = classify_distortion_one(enumerate_conformations(10))
     assert longer[: len(short)] == short
 
 

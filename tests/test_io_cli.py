@@ -583,6 +583,20 @@ def test_cli_enumerate(capsys):
     ]
 
 
+def test_cli_enumerate_refuses_past_the_cap(capsys):
+    code, out, err = run_cli(capsys, "enumerate", "--max-length", "18")
+    assert (code, out) == (2, "")
+    assert "cap 16" in err
+    # the caps are constants, not options
+    for argv in (
+        ["enumerate", "--max-length", "4", "--cap", "4"],
+        ["survey", "--cap", "30"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+
+
 def test_cli_enumerate_classify_with_golden_dir(capsys, tmp_path):
     golden = tmp_path / "golden"
     code, out, _ = run_cli(

@@ -1,7 +1,13 @@
+import os
+import resource
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
+import latticeknots
 from latticeknots import (
     LatticeKnot,
     LengthMismatch,
@@ -15,6 +21,8 @@ from latticeknots import (
     partial_sums,
 )
 from conftest import TREFOIL_TYPES, TREFOIL_X, TREFOIL_Y, TREFOIL_Z, trefoil_tabulation
+
+SRC = Path(latticeknots.__file__).resolve().parent.parent
 
 
 def test_trefoil_builds_closed_and_simple(trefoil):
@@ -242,6 +250,40 @@ def test_antipodal_vertex(trefoil, unit_square):
     assert trefoil.antipodal_vertex(0) == 12
     with pytest.raises(IndexError):
         trefoil.antipodal_vertex(24)
+
+
+def test_arc_between_refuses_indices_out_of_range(trefoil):
+    wrapped = tuple(trefoil.vertices[k] for k in (22, 23, 0, 1))
+    assert trefoil.arc_between(22, 1) == wrapped
+    for i, j in ((-1, 3), (24, 0)):
+        with pytest.raises(IndexError):
+            trefoil.arc_between(i, j)
+    # an end index that the forward walk never meets: run in a child under a
+    # time limit and a 512 MiB address-space cap, so a walk that never ends
+    # fails the test instead of hanging it or filling memory
+    code = (
+        "from latticeknots import torus_knot\n"
+        "for j in (10**6, -1):\n"
+        "    try:\n"
+        "        torus_knot(2).arc_between(0, j)\n"
+        "    except IndexError:\n"
+        "        print('refused', j)\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True,
+        text=True,
+        timeout=30,
+        preexec_fn=_cap_address_space,
+    )
+    refused = ["refused 1000000", "refused -1"]
+    assert result.stdout.splitlines() == refused, result.stderr
+
+
+def _cap_address_space():
+    limit = 512 << 20
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
 
 def test_critical_flags_count_sticks(trefoil, unit_square):

@@ -13,8 +13,8 @@ from latticeknots.knot import LatticeKnot, StickType
 from latticeknots.lattice import are_coplanar
 from latticeknots.torus import (
     ClosureSumReport,
+    XLevel2Report,
     _arc_counts,
-    _verify_structure,
     distortion_formula_even_large,
     distortion_formula_even_small,
     distortion_formula_odd,
@@ -85,7 +85,7 @@ def test_closure_sums():
 
 
 def test_partial_sums_p5():
-    report = verify_partial_sums(5)
+    report = verify_partial_sums(5, torus_knot(5))
     assert sorted(report.z_sums) == list(range(10))
     assert sorted(report.y_sums) == list(range(-4, 6))
     assert report.x_two_count == 4
@@ -97,25 +97,25 @@ def test_partial_sum_sequences_verbatim():
     assert expected_z_partial_sums(4) == (7, 1, 6, 2, 5, 3, 4, 0)
     assert expected_x_partial_sums(4) == (2, -1, 2, -2, 2, -3, 1, 0)
     for p in range(2, 10):
-        assert verify_partial_sums(p).sequences_match_expected
+        assert verify_partial_sums(p, torus_knot(p)).sequences_match_expected
 
 
 def test_x_level_2_structure():
-    report = verify_x_level_2(5)
+    report = verify_x_level_2(5, torus_knot(5))
     assert report.arc_count == 4
     assert report.arc_initials == ((2, 0, 9), (2, -1, 8), (2, -2, 7), (2, -3, 6))
     assert report.y_leg_lengths == (4, 4, 4, 4)
     assert report.ok
 
-    assert verify_x_level_2(3).arc_count == 2
+    assert verify_x_level_2(3, torus_knot(3)).arc_count == 2
 
     with pytest.raises(ValueError):
-        verify_x_level_2(2)
+        verify_x_level_2(2, torus_knot(2))
 
 
 def test_x_level_2_first_arc_starts_at_2_0_2p_minus_1():
     for p in (3, 4, 5, 8):
-        report = verify_x_level_2(p)
+        report = verify_x_level_2(p, torus_knot(p))
         assert report.arc_initials[0] == (2, 0, 2 * p - 1)
         assert x_level_2_initial_vertex(p, 1) == (2, 0, 2 * p - 1)
         # consecutive arcs step down by (0, -1, -1)
@@ -126,20 +126,20 @@ def test_x_level_2_first_arc_starts_at_2_0_2p_minus_1():
 def test_x_level_2_shifted_closed_form_does_not_match():
     """The (2, 1-n, 2p-2-n) variant sits two lower in z than the built knot."""
     for p in (3, 5, 7):
-        report = verify_x_level_2(p)
+        report = verify_x_level_2(p, torus_knot(p))
         assert report.initials_match_recursion
         assert not report.initials_match_shifted_form
 
 
 def test_collinearity_z_plus_initials():
-    report = verify_collinearity(4)
+    report = verify_collinearity(4, torus_knot(4))
     assert report.z_plus_initials == ((0, 0, 0), (-1, -1, 1), (-2, -2, 2), (-3, -3, 3))
     assert report.z_plus_initials_on_diagonal
     assert report.ok
 
 
 def test_final_three_x_plus_sticks():
-    report = verify_collinearity(7)
+    report = verify_collinearity(7, torus_knot(7))
     # traversal order: third-to-last, penultimate, final
     assert report.final_three_x_plus_initials == ((-4, -4, 9), (-5, -5, 8), (-6, -6, 7))
     assert report.final_three_x_plus_collinear
@@ -173,7 +173,7 @@ def test_coplanarity_needs_exactly_the_two_exclusions():
             assert are_coplanar(family_points(t, False))
         # the verification passes stick endpoints only; all points agree
         excluded = (StickType.YP, StickType.ZM)
-        assert dict(verify_collinearity(p).coplanar_by_type) == {
+        assert dict(verify_collinearity(p, K).coplanar_by_type) == {
             t.value: are_coplanar(family_points(t, t in excluded)) for t in StickType
         }
 
@@ -186,7 +186,7 @@ def test_stick_counts(unit_square):
 
 def test_structure_report_ok_through_p10():
     for p in range(2, 11):
-        report = verify_structure(p)
+        report = verify_structure(p, torus_knot(p))
         assert report.ok, f"structure check failed at p={p}: {report}"
         assert report.stick_count == 6 * p
         assert report.edge_length == edge_length_formula(p)
@@ -224,7 +224,54 @@ def test_arc_counts_from_sticks_match_levels():
                     assert counts[axis, value] == arcs, (K, axis, value)
 
 
-def test_structure_checks_read_at_most_x_level_2(monkeypatch):
+def reference_x_level_2(p, K):
+    """x-level 2 read vertex by vertex through ``LatticeKnot.level``."""
+    level = K.level(0, 2)
+    initials = []
+    y_lengths = []
+    shapes_ok = True
+    for arc in level.arcs:
+        initials.append(K.vertices[arc[0]])
+        moves = [K.steps[i] for i in arc[:-1]]
+        y_part = [m for m in moves if m.axis == 1]
+        z_part = [m for m in moves if m.axis == 2]
+        # an L: one maximal y-stick, then one maximal z-stick, nothing else
+        if (
+            moves != y_part + z_part
+            or len(set(y_part)) != 1
+            or len(set(z_part)) != 1
+        ):
+            shapes_ok = False
+        y_lengths.append(len(y_part))
+    return XLevel2Report(
+        p=p,
+        arc_count=len(level.arcs),
+        arc_initials=tuple(initials),
+        arcs_are_y_then_z=shapes_ok,
+        y_leg_lengths=tuple(y_lengths),
+        isolated_point_count=len(level.isolated_points),
+    )
+
+
+def test_x_level_2_from_sticks_matches_level_reference():
+    for p in range(3, 41):
+        K = torus_knot(p)
+        assert verify_x_level_2(p, K) == reference_x_level_2(p, K), p
+    # any knot, shifted so that x = 2 crosses it in every way; a knot lying
+    # in x = 2 has no x-stick and no arc start, where level sees one arc
+    rng = random.Random(5)
+    knots = list(enumerate_conformations(10))
+    knots += [random_lattice_knot(rng, 40) for _ in range(100)]
+    for K in knots:
+        for dx in range(4):
+            shifted = K.translate((dx, 0, 0))
+            box = shifted.bounding_box()
+            if box.min_corner[0] == box.max_corner[0] == 2:
+                continue
+            assert verify_x_level_2(3, shifted) == reference_x_level_2(3, shifted)
+
+
+def test_structure_checks_never_call_level(monkeypatch):
     calls = []
     level = LatticeKnot.level
 
@@ -233,8 +280,8 @@ def test_structure_checks_read_at_most_x_level_2(monkeypatch):
         return level(K, axis, value)
 
     monkeypatch.setattr(LatticeKnot, "level", counting_level)
-    assert _verify_structure(6, torus_knot(6)).ok
-    assert calls in ([], [(0, 2)])
+    assert verify_structure(6, torus_knot(6)).ok
+    assert calls == []
 
 
 def test_distortion_formulas():
