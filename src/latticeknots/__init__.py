@@ -33,10 +33,8 @@ from .distortion import (
     DistortionReport,
     PreconditionFailed,
     check_distortion_one_structure,
-    distortion_pair_value,
     distortion_upper_bound,
     format_exact,
-    knot_distance,
     vertex_distortion,
 )
 from .oracle import bfs_distances, vertex_distortion_oracle

@@ -55,7 +55,7 @@ from fractions import Fraction
 from itertools import combinations, product
 
 from .knot import LatticeKnot, Stick
-from .lattice import Point, is_staircase, is_box_corner, l1_distance
+from .lattice import Point, is_staircase, is_box_corner
 
 
 class PreconditionFailed(ValueError):
@@ -73,22 +73,6 @@ class DistortionReport:
     value: Fraction
     realizing_pairs: tuple[tuple[int, int], ...]
     pair_count_scanned: int
-
-
-def knot_distance(K: LatticeKnot, i: int, j: int) -> int:
-    """Length of the shorter of the two arcs between vertices ``i`` and ``j``."""
-    n = K.edge_length
-    if not (0 <= i < n and 0 <= j < n):
-        raise IndexError(f"vertex index out of range for edge length {n}")
-    d = abs(i - j)
-    return min(d, n - d)
-
-
-def distortion_pair_value(K: LatticeKnot, i: int, j: int) -> Fraction:
-    """The exact distortion ratio of a single vertex pair."""
-    if i == j:
-        raise ValueError("distortion ratio of a vertex with itself is undefined")
-    return Fraction(knot_distance(K, i, j), l1_distance(K.vertices[i], K.vertices[j]))
 
 
 def distortion_upper_bound(K: LatticeKnot) -> Fraction:

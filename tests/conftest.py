@@ -1,6 +1,8 @@
+from fractions import Fraction
+
 import pytest
 
-from latticeknots import Tabulation, build_knot, knot_from_vertices
+from latticeknots import Tabulation, build_knot, knot_from_vertices, l1_distance
 
 # The 12-stick trefoil table: columns x, y, z; type sequence cycling
 # z+, x+, y+, z-, x-, y- twice.
@@ -12,6 +14,22 @@ TREFOIL_Z = (3, 2, 1, 2)
 
 def trefoil_tabulation() -> Tabulation:
     return Tabulation.from_columns(TREFOIL_TYPES, TREFOIL_X, TREFOIL_Y, TREFOIL_Z)
+
+
+def knot_distance(K, i: int, j: int) -> int:
+    """Length of the shorter of the two arcs between vertices ``i`` and ``j``."""
+    n = K.edge_length
+    if not (0 <= i < n and 0 <= j < n):
+        raise IndexError(f"vertex index out of range for edge length {n}")
+    d = abs(i - j)
+    return min(d, n - d)
+
+
+def distortion_pair_value(K, i: int, j: int) -> Fraction:
+    """The exact distortion ratio of a single vertex pair."""
+    if i == j:
+        raise ValueError("distortion ratio of a vertex with itself is undefined")
+    return Fraction(knot_distance(K, i, j), l1_distance(K.vertices[i], K.vertices[j]))
 
 
 @pytest.fixture

@@ -26,7 +26,6 @@ from latticeknots import (
     is_irreducible,
     is_reducible,
     is_staircase,
-    knot_distance,
     l1_distance,
     random_lattice_knot,
     staircase_count,
@@ -44,7 +43,7 @@ from latticeknots.torus import (
     distortion_formula_odd,
     edge_length_formula,
 )
-from conftest import trefoil_tabulation
+from conftest import knot_distance, trefoil_tabulation
 
 # Scan values confirmed by the BFS oracle, then frozen.
 GOLDEN_DISTORTION = {

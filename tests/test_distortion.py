@@ -9,11 +9,9 @@ from latticeknots import (
     PreconditionFailed,
     bfs_distances,
     check_distortion_one_structure,
-    distortion_pair_value,
     distortion_upper_bound,
     enumerate_conformations,
     format_exact,
-    knot_distance,
     knot_from_vertices,
     random_lattice_knot,
     torus_knot,
@@ -22,6 +20,7 @@ from latticeknots import (
 )
 from latticeknots.distortion import DistortionReport
 from latticeknots.lattice import l1_distance
+from conftest import distortion_pair_value, knot_distance
 
 
 def walk_both_ways(K, i, j):

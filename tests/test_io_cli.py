@@ -3,6 +3,7 @@ import os
 import resource
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import latticeknots
+import latticeknots.certificate
 import latticeknots.cli
 import latticeknots.torus
 from latticeknots import build_knot, knot_from_vertices, torus_knot
@@ -449,6 +451,55 @@ def test_cli_distortion_torus_with_oracle_and_pairs(capsys, tmp_path):
     assert lines[-1] == "oracle: agree"
     i, j = map(int, lines[1].split())
     assert 0 <= i < j < 90
+
+
+def test_cli_distortion_oracle_golden_on_torus(capsys, tmp_path):
+    # recorded from the breadth-first oracle; the certificate closes on
+    # each of these knots and must print the same bytes
+    golden = (Path(__file__).parent / "golden"
+              / "torus_distortion_pairs_oracle.txt").read_text()
+    blocks = []
+    for p in range(2, 13):
+        target = tmp_path / f"t{p}.json"
+        run_cli(capsys, "generate", "--p", str(p), "-o", str(target))
+        code, out, err = run_cli(capsys, "distortion", str(target), "--pairs", "--oracle")
+        assert (code, err) == (0, "")
+        blocks.append(f"# p={p}\n{out}")
+    assert "".join(blocks) == golden
+
+
+@pytest.mark.parametrize("corners", [
+    [(0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 0)],
+    [(0, 0, 0), (2, 0, 0), (2, 1, 0), (0, 1, 0)],
+])
+def test_cli_distortion_oracle_falls_back_to_bfs(capsys, tmp_path, monkeypatch,
+                                                 corners):
+    # on these knots a shell costs more lookups than the BFS has pairs, so
+    # the certificate gives up and the breadth-first oracle decides
+    K = knot_from_vertices(corners)
+    assert not latticeknots.cli.certify_distortion(K).certified
+    bfs_calls = []
+    monkeypatch.setattr(
+        latticeknots.cli, "vertex_distortion_oracle",
+        lambda K: bfs_calls.append(K) or latticeknots.vertex_distortion_oracle(K),
+    )
+    target = tmp_path / "knot.csv"
+    target.write_text(knot_to_vertex_csv(K))
+    code, out, _ = run_cli(capsys, "distortion", str(target), "--oracle")
+    assert code == 0
+    assert out.splitlines()[-1] == "oracle: agree"
+    assert len(bfs_calls) == 1
+
+
+def test_cli_distortion_oracle_mismatch_exits_one(capsys, tmp_path, monkeypatch):
+    target = tmp_path / "t4.json"
+    run_cli(capsys, "generate", "--p", "4", "-o", str(target))
+    wrong = latticeknots.certificate.Certificate(True, Fraction(40), ((38, 79),), 1)
+    monkeypatch.setattr(latticeknots.cli, "certify_distortion", lambda K: wrong)
+    code, out, err = run_cli(capsys, "distortion", str(target), "--oracle")
+    assert code == 1
+    assert out == "41\n"
+    assert err == "oracle mismatch: kernel 41 vs oracle 40\n"
 
 
 def test_cli_distortion_long_rectangle_pairs(capsys, tmp_path):
