@@ -7,10 +7,11 @@ measures distances by breadth-first traversal into a flat list, and maximizes
 the ratio with a plain loop using integer cross multiplication.  The two
 routes must agree exactly, and tests check that they do.
 
-It costs O(n^2).  The CLI ``--oracle`` flag therefore asks the O(n)
-certificate of :mod:`latticeknots.certificate` first, and runs this oracle
-only on a knot whose lattice-neighbour shells cannot close the certificate's
-bound within the n(n-1)/2 pairs examined here.
+It costs O(n^2).  The CLI ``--oracle`` flag therefore asks the certificate
+of :mod:`latticeknots.certificate` first, O(n) when it closes at shell 1,
+and runs this oracle only on a knot whose lattice-neighbour shells cannot
+close the certificate's bound within n(n-1)/16 lookups, an eighth of the
+pairs examined here.
 
 Each BFS row is first filtered against the best ratio at the start of the
 row: a pair whose ratio is below it stays below the best, which only grows,

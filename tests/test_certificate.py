@@ -37,11 +37,7 @@ def test_half_shells_meet_each_offset_pair_once():
 
 def test_certificate_matches_kernel_on_census_rectangles_and_random_knots():
     census = list(enumerate_conformations(12))
-    rectangles = [
-        knot_from_vertices([(0, 0, 0), (a, 0, 0), (a, b, 0), (0, b, 0)])
-        for a in range(1, 9)
-        for b in range(1, 9)
-    ]
+    rectangles = [rectangle(a, b) for a in range(1, 9) for b in range(1, 9)]
     rng = random.Random(41)
     random_knots = [random_lattice_knot(rng, 60) for _ in range(200)]
     for corpus in (census, rectangles, random_knots):
@@ -55,7 +51,7 @@ def test_certificate_on_the_torus_family():
     for p in list(GOLDEN_DISTORTION) + [41, 60]:
         K = torus_knot(p)
         certificate = certify_distortion(K)
-        assert certificate.certified and certificate.shell == 1, p
+        assert certificate.certified, p
         assert check_against_kernel(K), p
         assert certificate.value == GOLDEN_DISTORTION.get(p, certificate.value), p
         pair_counts[p] = len(certificate.realizing_pairs)
@@ -70,15 +66,22 @@ def test_certificate_equals_bfs_oracle_on_small_torus_knots():
             vertex_distortion_oracle(K)), p
 
 
-def test_certificate_gives_up_within_the_oracle_cost():
-    # shell 1 costs 3n lookups; the oracle examines n(n-1)/2 pairs, so a
-    # knot of fewer than 7 edges gets no verdict and no scanned pair
-    square = knot_from_vertices([(0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 0)])
-    assert certify_distortion(square) == Certificate(False, Fraction(0), (), 0)
-    # a 2 x 2 square scans shell 1 (24 <= 28 lookups), finds only its
-    # consecutive vertices at ratio 1 and cannot afford shell 2
-    square2 = knot_from_vertices([(0, 0, 0), (2, 0, 0), (2, 2, 0), (0, 2, 0)])
-    certificate = certify_distortion(square2)
+def rectangle(a, b):
+    return knot_from_vertices([(0, 0, 0), (a, 0, 0), (a, b, 0), (0, b, 0)])
+
+
+def test_certificate_scans_past_shell_1_only_within_its_budget():
+    # shell 1 is always scanned; shells 1 and 2 together cost 12n lookups,
+    # within the n(n-1)/16 budget only from n = 193 edges
+    square = rectangle(1, 1)
+    assert certify_distortion(square) == Certificate(
+        False, Fraction(1), ((0, 1), (0, 3), (1, 2), (2, 3)))
+    # a 2 x 2 square finds only consecutive vertices at shell 1
+    certificate = certify_distortion(rectangle(2, 2))
     assert not certificate.certified
-    assert (certificate.value, certificate.shell) == (1, 1)
-    assert len(certificate.realizing_pairs) == 8
+    assert certificate.value == 1 and len(certificate.realizing_pairs) == 8
+    # an a x 2 rectangle closes only at shell 2, on the pairs straight
+    # across its middle: 184 edges cannot afford that shell, 204 can
+    assert not certify_distortion(rectangle(90, 2)).certified
+    assert check_against_kernel(rectangle(100, 2))
+    assert certify_distortion(rectangle(100, 2)).value == Fraction(204, 4)

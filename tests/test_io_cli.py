@@ -470,12 +470,12 @@ def test_cli_distortion_oracle_golden_on_torus(capsys, tmp_path):
 
 @pytest.mark.parametrize("corners", [
     [(0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 0)],
-    [(0, 0, 0), (2, 0, 0), (2, 1, 0), (0, 1, 0)],
+    [(0, 0, 0), (2, 0, 0), (2, 2, 0), (0, 2, 0)],
 ])
 def test_cli_distortion_oracle_falls_back_to_bfs(capsys, tmp_path, monkeypatch,
                                                  corners):
-    # on these knots a shell costs more lookups than the BFS has pairs, so
-    # the certificate gives up and the breadth-first oracle decides
+    # these knots do not close at shell 1 and cannot afford shell 2, so the
+    # certificate gives up and the breadth-first oracle decides
     K = knot_from_vertices(corners)
     assert not latticeknots.cli.certify_distortion(K).certified
     bfs_calls = []
@@ -494,7 +494,7 @@ def test_cli_distortion_oracle_falls_back_to_bfs(capsys, tmp_path, monkeypatch,
 def test_cli_distortion_oracle_mismatch_exits_one(capsys, tmp_path, monkeypatch):
     target = tmp_path / "t4.json"
     run_cli(capsys, "generate", "--p", "4", "-o", str(target))
-    wrong = latticeknots.certificate.Certificate(True, Fraction(40), ((38, 79),), 1)
+    wrong = latticeknots.certificate.Certificate(True, Fraction(40), ((38, 79),))
     monkeypatch.setattr(latticeknots.cli, "certify_distortion", lambda K: wrong)
     code, out, err = run_cli(capsys, "distortion", str(target), "--oracle")
     assert code == 1
