@@ -11,7 +11,6 @@ from .lattice import (
     is_box_corner,
     is_staircase,
     l1_distance,
-    staircase_count,
 )
 from .knot import (
     KnotError,
@@ -56,7 +55,6 @@ from .reduction import (
     apply_extension,
     apply_reduction,
     is_irreducible,
-    is_reducible,
     max_reduction_amount,
     sweep_criterion_blocks,
 )

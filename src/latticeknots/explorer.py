@@ -36,7 +36,7 @@ from .reduction import (
     apply_reduction,
 )
 
-# the census grows exponentially with length: ~4.4M raw walks at 16 edges
+# the census grows exponentially with length: ~0.7M candidate walks at 16 edges
 CENSUS_CAP = 16
 
 _ENCODE = {t: i for i, t in enumerate(StickType)}
@@ -83,12 +83,23 @@ def canonical_steps(steps: Sequence[StickType]) -> tuple[int, ...]:
 
 def _canonical_codes(codes: bytes) -> bytes:
     """The least image of ``codes``, over the candidates of ``canonical_steps``."""
+    return min(_candidates(codes))
+
+
+def _candidates(codes: bytes) -> list[bytes]:
+    """The images of ``codes`` that ``canonical_steps`` compares, one per
+    isometry, orientation and start that can give the least image.
+
+    For a closed walk, the candidates equal to the least image are exactly
+    the images of the symmetries that map it to that image, so their count
+    is the order of its stabiliser.
+    """
     n = len(codes)
     candidates: list[bytes] = []
     for seq in (codes, codes[::-1]):
         starts = [i for i in range(n) if seq[i] != seq[i - 1]]
         if not starts:
-            return bytes(n)
+            return [bytes(n)]
         ends = starts[1:] + [starts[0] + n]
         longest = max(end - start for start, end in zip(starts, ends))
         doubled = seq + seq
@@ -98,33 +109,38 @@ def _canonical_codes(codes: bytes) -> bytes:
             if end - start == longest
             for image in _LEAD_IMAGES[seq[start], doubled[end]]
         ]
-    return min(candidates)
+    return candidates
 
 
 _DX, _DY, _DZ = zip(*(t.step for t in _DIRS))
 
 
 def _closed_walks(max_length: int, emit: Callable[[bytes], object]) -> None:
-    """Hand each self-avoiding closed walk of length 4..max_length, first
-    step x+, to ``emit`` as one depth-first search completes it, in search
-    order, not by length; no list of walks is kept.
+    """Hand ``emit`` each self-avoiding closed walk of length 4..max_length
+    that could be the least image of its own class, as the depth-first
+    search completes it (in search order, not by length; no list is kept).
 
-    A walk ends where it returns to the origin; a return after two steps
-    only retraces the first edge and is skipped.  Direction-canonical
-    pruning keeps the tree small: the first step off the x-axis must be y+,
-    and the first z-axis step must be z+.  Every isometry class keeps at
-    least one surviving rooted traversal (map any traversal's first step to
-    x+, then use the stabilizer of x+ to normalize the first y/z
-    directions), and the canonical-form dedup afterwards removes the
-    remaining redundancy.
+    The least image that ``_canonical_codes`` picks obeys four rules, so the
+    search prunes every walk that breaks one:
+
+    - it opens with a run of k x+ steps and then y+: the least image starts
+      at a longest stick mapped to x+, and the next step maps to y+;
+    - no later stick is longer than k, because the first one is a longest;
+    - its first z step is z+: the two images that fix x+ and y+ differ only
+      in the sign of z, and z+ has the smaller code;
+    - its closing step is not x+: the least image starts where a stick
+      starts, so its last step differs from its first.
+
+    Every class thus keeps its least image, and the canonical-form dedup
+    afterwards removes the walks that obey the rules without being least.
+    A walk ends where it returns to the origin; a search from each opening
+    run of k steps stops where the origin is out of reach.
     """
-    steps = [0]
     base = 2 * max_length + 1
-    visited: set[int] = set()
 
-    def rec(x: int, y: int, z: int, seen_y: bool, seen_z: bool) -> None:
+    def rec(x: int, y: int, z: int, run: int, seen_z: bool) -> None:
         if x == 0 and y == 0 and z == 0:
-            if len(steps) > 2:
+            if steps[-1] != 0:
                 emit(bytes(steps))
             return
         if abs(x) + abs(y) + abs(z) > max_length - len(steps):
@@ -133,23 +149,30 @@ def _closed_walks(max_length: int, emit: Callable[[bytes], object]) -> None:
         if key in visited:
             return
         visited.add(key)
-        for code in range(6):
-            if code == 3 and not seen_y:
-                continue
-            if code >= 4 and (not seen_y or (code == 5 and not seen_z)):
+        last = steps[-1]
+        for code in range(6) if seen_z else range(5):
+            if code != last:
+                grown = 1
+            elif run < longest:
+                grown = run + 1
+            else:
                 continue
             steps.append(code)
             rec(
                 x + _DX[code],
                 y + _DY[code],
                 z + _DZ[code],
-                seen_y or code in (2, 3),
-                seen_z or code in (4, 5),
+                grown,
+                seen_z or code == 4,
             )
             steps.pop()
         visited.discard(key)
 
-    rec(1, 0, 0, False, False)
+    for longest in range(1, max_length // 2):
+        steps = [0] * longest + [2]
+        # the keys of (1, 0, 0) .. (longest, 0, 0), the opening run's points
+        visited = {i * base * base for i in range(1, longest + 1)}
+        rec(longest, 1, 0, 1, False)
 
 
 def enumerate_conformations(max_edge_length: int) -> Iterator[LatticeKnot]:

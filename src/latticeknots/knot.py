@@ -276,16 +276,9 @@ class LatticeKnot:
     def point_set(self) -> frozenset[Point]:
         return frozenset(self.vertices)
 
-    def index_of(self, point: Point) -> int:
-        return self.vertices.index(point)
-
     def is_critical(self, i: int) -> bool:
         """True iff vertex ``i`` is an endpoint of a stick (the knot turns there)."""
         return self.steps[i - 1] != self.steps[i % self.edge_length]
-
-    @property
-    def critical_flags(self) -> tuple[bool, ...]:
-        return tuple(self.is_critical(i) for i in range(self.edge_length))
 
     def antipodal_vertex(self, i: int) -> int:
         """Index of the vertex at arc distance edge_length/2 from vertex ``i``."""

@@ -1,14 +1,13 @@
 """Integer lattice geometry.
 
 Points of the cubic lattice are plain ``(x, y, z)`` integer tuples.  Everything
-in this module is exact: distances, walk counts and ranks are integers,
-and no floating point is used anywhere.
+in this module is exact: distances and ranks are integers, and no floating
+point is used anywhere.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -21,22 +20,6 @@ AXIS_NAMES = ("x", "y", "z")
 def l1_distance(a: Point, b: Point) -> int:
     """Taxicab distance between two lattice points."""
     return abs(a[0] - b[0]) + abs(a[1] - b[1]) + abs(a[2] - b[2])
-
-
-def staircase_count(a: Point, b: Point) -> int:
-    """Number of monotone (staircase) unit-step walks from ``a`` to ``b``.
-
-    This is the multinomial coefficient d1! / (dx! dy! dz!) where dx, dy, dz
-    are the absolute coordinate differences.  Exact integer arithmetic: the
-    values grow factorially and overflow fixed-width integers quickly.
-    """
-    dx = abs(a[0] - b[0])
-    dy = abs(a[1] - b[1])
-    dz = abs(a[2] - b[2])
-    total = dx + dy + dz
-    return math.factorial(total) // (
-        math.factorial(dx) * math.factorial(dy) * math.factorial(dz)
-    )
 
 
 def check_unit_path(path: Sequence[Point]) -> None:

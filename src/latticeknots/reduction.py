@@ -242,15 +242,6 @@ def max_reduction_amount(K: LatticeKnot, stick_index: int, direction: Direction)
     return cap if collision is None else collision[0] - 1
 
 
-def is_reducible(K: LatticeKnot, stick_index: int, direction: Direction) -> bool:
-    """True iff some reduction of this stick in this direction succeeds.
-
-    Every slide passes through offset one, so the one-step sweep decides;
-    no knot is built.
-    """
-    return max_reduction_amount(K, stick_index, direction) > 0
-
-
 @dataclass(frozen=True)
 class IrreducibilityReport:
     """Verdict plus, when reducible, every (stick, direction, max amount) witness."""

@@ -1,8 +1,15 @@
+import math
 from fractions import Fraction
 
 import pytest
 
-from latticeknots import Tabulation, build_knot, knot_from_vertices, l1_distance
+from latticeknots import (
+    Tabulation,
+    build_knot,
+    knot_from_vertices,
+    l1_distance,
+    max_reduction_amount,
+)
 
 # The 12-stick trefoil table: columns x, y, z; type sequence cycling
 # z+, x+, y+, z-, x-, y- twice.
@@ -30,6 +37,19 @@ def distortion_pair_value(K, i: int, j: int) -> Fraction:
     if i == j:
         raise ValueError("distortion ratio of a vertex with itself is undefined")
     return Fraction(knot_distance(K, i, j), l1_distance(K.vertices[i], K.vertices[j]))
+
+
+def staircase_count(a, b) -> int:
+    """Number of monotone (staircase) unit-step walks from ``a`` to ``b``:
+    the multinomial coefficient d! / (dx! dy! dz!) of the coordinate gaps."""
+    gaps = [abs(a[i] - b[i]) for i in range(3)]
+    return math.factorial(sum(gaps)) // math.prod(map(math.factorial, gaps))
+
+
+def is_reducible(K, stick_index: int, direction) -> bool:
+    """True iff some reduction of this stick in this direction succeeds;
+    every slide passes through offset one, so the one-step sweep decides."""
+    return max_reduction_amount(K, stick_index, direction) > 0
 
 
 @pytest.fixture

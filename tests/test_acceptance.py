@@ -24,11 +24,9 @@ from latticeknots import (
     enumerate_conformations,
     generate_torus_tabulation,
     is_irreducible,
-    is_reducible,
     is_staircase,
     l1_distance,
     random_lattice_knot,
-    staircase_count,
     sweep_criterion_blocks,
     torus_knot,
     vertex_distortion,
@@ -43,7 +41,7 @@ from latticeknots.torus import (
     distortion_formula_odd,
     edge_length_formula,
 )
-from conftest import knot_distance, trefoil_tabulation
+from conftest import is_reducible, knot_distance, staircase_count, trefoil_tabulation
 
 # Scan values confirmed by the BFS oracle, then frozen.
 GOLDEN_DISTORTION = {

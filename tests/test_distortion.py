@@ -40,7 +40,7 @@ def test_knot_distance_examples(trefoil, unit_square):
         assert knot_distance(trefoil, i, trefoil.antipodal_vertex(i)) == 12
         assert knot_distance(trefoil, i, i) == 0
 
-    j = trefoil.index_of((2, 0, 3))
+    j = trefoil.vertices.index((2, 0, 3))
     assert knot_distance(trefoil, 0, j) == walk_both_ways(trefoil, 0, j) == 5
 
     with pytest.raises(IndexError):

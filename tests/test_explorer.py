@@ -1,5 +1,6 @@
 import random
 from collections import Counter
+from itertools import groupby
 
 import pytest
 
@@ -17,7 +18,14 @@ from latticeknots import (
     vertex_distortion,
 )
 from latticeknots import explorer
-from latticeknots.explorer import _closed_walks
+from latticeknots.explorer import (
+    _DX,
+    _DY,
+    _DZ,
+    _candidates,
+    _canonical_codes,
+    _closed_walks,
+)
 from latticeknots.lattice import affine_rank
 
 # Frozen regression values from the exhaustive backtracking enumeration.
@@ -52,6 +60,52 @@ def all_images(codes: bytes):
 
 def brute_canonical(steps) -> tuple[int, ...]:
     return tuple(min(all_images(bytes(CODE[t] for t in steps))))
+
+
+def reference_closed_walks(max_length: int, emit) -> None:
+    """Every self-avoiding closed walk of length 4..max_length with first
+    step x+, first step off the x-axis y+ and first z step z+, unpruned
+    otherwise: at least one walk per class, the slow path that the census's
+    pruned search is checked against.
+    """
+    steps = [0]
+    base = 2 * max_length + 1
+    visited: set[int] = set()
+
+    def rec(x, y, z, seen_y, seen_z):
+        if x == 0 and y == 0 and z == 0:
+            if len(steps) > 2:
+                emit(bytes(steps))
+            return
+        if abs(x) + abs(y) + abs(z) > max_length - len(steps):
+            return
+        key = (x * base + y) * base + z
+        if key in visited:
+            return
+        visited.add(key)
+        for code in range(6):
+            if code == 3 and not seen_y:
+                continue
+            if code >= 4 and (not seen_y or (code == 5 and not seen_z)):
+                continue
+            steps.append(code)
+            rec(
+                x + _DX[code],
+                y + _DY[code],
+                z + _DZ[code],
+                seen_y or code in (2, 3),
+                seen_z or code in (4, 5),
+            )
+            steps.pop()
+        visited.discard(key)
+
+    rec(1, 0, 0, False, False)
+
+
+def collect(search, max_length: int) -> list[bytes]:
+    walks: list[bytes] = []
+    search(max_length, walks.append)
+    return walks
 
 
 def test_length_four_is_only_the_unit_square():
@@ -93,8 +147,8 @@ def test_enumeration_is_isometry_canonical():
 
 
 def test_canonical_steps_matches_brute_force_on_all_walks():
-    pending: set[bytes] = set()
-    _closed_walks(12, pending.add)
+    pending = set(collect(reference_closed_walks, 12))
+    assert len(pending) == 17187
     assert {len(walk) for walk in pending} == {4, 6, 8, 10, 12}
     while pending:
         walk = pending.pop()
@@ -104,6 +158,41 @@ def test_canonical_steps_matches_brute_force_on_all_walks():
         for member in (pending & orbit) | {walk}:
             assert canonical_steps([STEPS[c] for c in member]) == least
         pending -= orbit
+
+
+def test_pruned_walks_give_the_reference_classes():
+    reference = {_canonical_codes(w) for w in collect(reference_closed_walks, 12)}
+    for length in range(4, 13, 2):
+        pruned = {_canonical_codes(w) for w in collect(_closed_walks, length)}
+        assert pruned == {c for c in reference if len(c) <= length}
+
+
+def test_pruned_walks_include_each_class_least_image():
+    walks = collect(_closed_walks, 12)
+    assert len(walks) == len(set(walks)) == 3351
+    classes = {_canonical_codes(w) for w in walks}
+    assert len(classes) == 843
+    assert classes <= set(walks)
+
+
+def test_pruned_walks_obey_the_four_rules():
+    for walk in collect(_closed_walks, 12):
+        runs = [len(list(run)) for _, run in groupby(walk)]
+        longest = runs[0]
+        assert walk[:longest] == bytes(longest) and walk[longest] == 2
+        assert max(runs) == longest
+        z_steps = [code for code in walk if code >= 4]
+        assert not z_steps or z_steps[0] == 4
+        assert walk[-1] != 0
+
+
+def test_candidate_count_is_the_stabiliser_order():
+    for walk in collect(reference_closed_walks, 10):
+        candidates = _candidates(walk)
+        least = min(candidates)
+        images = list(all_images(walk))
+        assert least == min(images)
+        assert candidates.count(least) == images.count(least)
 
 
 def test_canonical_steps_matches_brute_force_on_images():
@@ -131,6 +220,26 @@ def test_orbit_counting_identity():
         assert group_order % stabiliser == 0
         rooted[K.edge_length] += group_order // stabiliser
     assert rooted == ROOTED_POLYGONS
+
+
+@pytest.mark.slow
+def test_census_at_sixteen_frozen_and_counts_rooted_polygons():
+    """Per-length classes at 14 and 16 edges, and orbit counting: each class
+    of length L stands for 96L / |stabiliser| rooted oriented polygons."""
+    knots = list(enumerate_conformations(16))
+    assert length_counts(knots) == {
+        **EXPECTED_COUNTS, 12: 755, 14: 9760, 16: 143997
+    }
+    rooted = Counter()
+    for K in knots:
+        codes = bytes(CODE[t] for t in K.steps)
+        stabiliser = _candidates(codes).count(codes)
+        group_order = 96 * len(codes)
+        assert group_order % stabiliser == 0
+        rooted[len(codes)] += group_order // stabiliser
+    assert {length: rooted[length] for length in ROOTED_POLYGONS} == ROOTED_POLYGONS
+    assert rooted[14] == 12673920
+    assert rooted[16] == 218904768
 
 
 def test_conformation_count_at_fourteen_frozen():

@@ -10,10 +10,10 @@ from latticeknots import (
     is_box_corner,
     is_staircase,
     l1_distance,
-    staircase_count,
     torus_knot,
 )
 from latticeknots.lattice import Box, affine_rank, are_collinear, are_coplanar
+from conftest import staircase_count
 
 points = st.tuples(
     st.integers(-20, 20), st.integers(-20, 20), st.integers(-20, 20)

@@ -15,7 +15,6 @@ from latticeknots import (
     apply_reduction,
     enumerate_conformations,
     is_irreducible,
-    is_reducible,
     knot_from_vertices,
     max_reduction_amount,
     random_lattice_knot,
@@ -24,6 +23,7 @@ from latticeknots import (
 )
 from latticeknots.lattice import l1_distance
 from latticeknots.reduction import _first_collision, _plan_move, _rebuild, _shift
+from conftest import is_reducible
 
 
 def test_rectangle_shrinks_to_unit_square(rectangle):
