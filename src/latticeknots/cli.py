@@ -42,7 +42,7 @@ from .torus import (
 
 USAGE_ERROR = 2
 CHECK_ERROR = 1
-SURVEY_CAP = 24  # the survey builds every family member up to --max-p
+SURVEY_CAP = 200  # the survey builds every family member up to --max-p
 
 
 def _write_output(text: str, path: str | None) -> None:

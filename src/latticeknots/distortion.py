@@ -32,10 +32,11 @@ at the floor or the ceiling, in each coordinate, of a pairwise intersection
 of lines (Charnes and Cooper, 1962, for the linear-fractional step).  Extra
 candidates do no harm, because each one is a real vertex pair.
 
-Pruning.  The largest arc that a stick pair's index differences allow,
-divided by the taxicab gap between the two sticks, bounds every ratio on the
-pair.  Stick pairs are visited in decreasing order of that bound, and the
-loop stops once the bound falls below the best value found.
+Pruning.  A stick pair's cap, the largest arc its index differences allow,
+over the taxicab gap g between the sticks' boxes bounds every ratio on it.
+Buckets of pairs by g are taken in increasing g until (n//2)/g is below the
+best ratio found, each in decreasing cap until cap/g is below it.  Ties are
+visited, since they may hold realizing pairs.
 
 Realizing pairs.  Each vertex is owned by the stick it starts or lies
 inside of, so every vertex pair belongs to exactly one stick pair.  On a
@@ -50,6 +51,7 @@ length.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
@@ -83,36 +85,49 @@ def distortion_upper_bound(K: LatticeKnot) -> Fraction:
 def vertex_distortion(K: LatticeKnot) -> DistortionReport:
     """The exact maximum ratio and every vertex pair attaining it.
 
-    Visits the non-adjacent stick pairs in decreasing order of their bound,
-    takes each one's maximum over its candidates and stops once no pair
-    left can reach the best value; then enumerates the realizing pairs on
-    the level lines of the stick pairs that reach it (see the module
-    docstring).  ``pair_count_scanned`` is n(n-1)/2, the vertex pairs that
-    the value covers.
+    Visits the non-adjacent stick pairs by increasing box gap, takes each
+    one's maximum over its candidates until no pair left can reach the best
+    value, then enumerates the realizing pairs on the level lines of the
+    stick pairs that reach it (see the module docstring).
+    ``pair_count_scanned`` is n(n-1)/2, the vertex pairs the value covers.
     """
     n = K.edge_length
+    half = n // 2
     sticks = K.sticks
     m = len(sticks)
-    # Two unequal bounds cap/gap differ by more than 1/n**2 (both gaps are
-    # below n), so this integer key sorts them exactly.
-    scale = n * n
-    order = []
-    for a, b in combinations(range(m), 2):
-        if b - a == 1 or b - a == m - 1:
-            continue
-        cap, gap = _pair_bound(n, sticks[a], sticks[b])
-        order.append((cap * scale // gap, a, b, cap, gap))
-    order.sort(reverse=True)
+    # non-adjacent stick pairs a < b, keyed a*m + b, by box gap
+    boxes = [s.lo + s.hi for s in sticks]
+    by_gap = defaultdict(list)
+    for a in range(m - 2):
+        xa, ya, za, Xa, Ya, Za = boxes[a]
+        gaps = [(xb - Xa if xb > Xa else xa - Xb if xa > Xb else 0)
+                + (yb - Ya if yb > Ya else ya - Yb if ya > Yb else 0)
+                + (zb - Za if zb > Za else za - Zb if za > Zb else 0)
+                for xb, yb, zb, Xb, Yb, Zb in boxes[a + 2:m if a else m - 1]]
+        for key, gap in enumerate(gaps, a * m + a + 2):
+            by_gap[gap].append(key)
 
     best_num, best_den = 1, 1
     reached = []
-    for _, a, b, cap, gap in order:
-        if cap * best_den < best_num * gap:
+    for gap in sorted(by_gap):
+        if half * best_den < best_num * gap:
             break
-        num, den = _pair_max(n, sticks[a], sticks[b])
-        if num * best_den > best_num * den:
-            best_num, best_den = num, den
-        reached.append((a, b, num, den))
+        bucket = []
+        for key in by_gap[gap]:
+            a, b = divmod(key, m)
+            A, B = sticks[a], sticks[b]
+            d_lo, d_hi = B.start - A.start - A.length, B.start - A.start + B.length
+            # n/2 if some index difference d_lo..d_hi is n/2 (mod n)
+            cap = (half if d_lo + (half - d_lo) % n <= d_hi
+                   else max(_arc(n, d_lo), _arc(n, d_hi)))
+            bucket.append((cap, a, b))
+        for cap, a, b in sorted(bucket, reverse=True):
+            if cap * best_den < best_num * gap:
+                break
+            num, den = _pair_max(n, sticks[a], sticks[b])
+            if num * best_den > best_num * den:
+                best_num, best_den = num, den
+            reached.append((a, b, num, den))
 
     value = Fraction(best_num, best_den)
     num, den = value.numerator, value.denominator
@@ -133,21 +148,6 @@ def _arc(n: int, d: int) -> int:
     """The shorter arc between two vertices whose indices differ by ``d``."""
     d %= n
     return min(d, n - d)
-
-
-def _pair_bound(n: int, A: Stick, B: Stick) -> tuple[int, int]:
-    """(largest arc, smallest taxicab distance) over two disjoint sticks."""
-    d_lo, d_hi = B.start - A.start - A.length, B.start - A.start + B.length
-    lo_a, hi_a, lo_b, hi_b = A.lo, A.hi, B.lo, B.hi
-    half = n // 2
-    if d_lo + (half - d_lo) % n <= d_hi:  # some d = n/2 (mod n) in range
-        cap = half
-    else:
-        cap = max(_arc(n, d_lo), _arc(n, d_hi))
-    gap = (max(0, lo_b[0] - hi_a[0], lo_a[0] - hi_b[0])
-           + max(0, lo_b[1] - hi_a[1], lo_a[1] - hi_b[1])
-           + max(0, lo_b[2] - hi_a[2], lo_a[2] - hi_b[2]))
-    return cap, gap
 
 
 def _terms(A: Stick, B: Stick) -> list[tuple[int, int, int]]:

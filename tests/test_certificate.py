@@ -1,9 +1,10 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from latticeknots import (
     enumerate_conformations,
-    knot_from_vertices,
     random_lattice_knot,
     torus_knot,
     vertex_distortion,
@@ -11,6 +12,7 @@ from latticeknots import (
 )
 from latticeknots.certificate import Certificate, _half_shell, certify_distortion
 from test_acceptance import GOLDEN_DISTORTION
+from test_distortion import dilate, dilated_knots, rectangle
 
 
 def check_against_kernel(K):
@@ -58,16 +60,28 @@ def test_certificate_on_the_torus_family():
     assert pair_counts[2] == 6 and pair_counts[41] == 2
 
 
+def test_certificate_matches_kernel_on_dilated_knots():
+    # dilating by f moves every pair off adjacent sticks out to shell f or
+    # beyond, past the budget of these small knots; the two larger knots,
+    # dilated by 2 and 3, can afford the shell that closes them
+    closed = [check_against_kernel(K) for K in dilated_knots()]
+    assert not any(closed)
+    assert check_against_kernel(dilate(torus_knot(5), 2))
+    assert check_against_kernel(dilate(torus_knot(8), 3))
+
+
+@pytest.mark.slow
+def test_every_torus_knot_to_p_200_is_certified():
+    for p in range(2, 201):
+        assert check_against_kernel(torus_knot(p)), p
+
+
 def test_certificate_equals_bfs_oracle_on_small_torus_knots():
     for p in range(2, 13):
         K = torus_knot(p)
         certificate = certify_distortion(K)
         assert (certificate.value, certificate.realizing_pairs) == (
             vertex_distortion_oracle(K)), p
-
-
-def rectangle(a, b):
-    return knot_from_vertices([(0, 0, 0), (a, 0, 0), (a, b, 0), (0, b, 0)])
 
 
 def test_certificate_scans_past_shell_1_only_within_its_budget():

@@ -1,6 +1,7 @@
 import random
 from collections import deque
 from fractions import Fraction
+from itertools import combinations, product
 
 import pytest
 
@@ -18,6 +19,7 @@ from latticeknots import (
     vertex_distortion,
     vertex_distortion_oracle,
 )
+import latticeknots.distortion as distortion
 from latticeknots.distortion import DistortionReport
 from latticeknots.lattice import l1_distance
 from conftest import distortion_pair_value, knot_distance
@@ -242,6 +244,103 @@ def test_scan_and_oracle_agree_on_random_knots():
     for K in random_knots + rectangles + list(enumerate_conformations(10)) + dilations:
         report = vertex_distortion(K)
         assert (report.value, report.realizing_pairs) == vertex_distortion_oracle(K), K
+
+
+def reference_vertex_distortion(K):
+    """The all-pairs visit: bound every non-adjacent stick pair by its
+    largest arc over its box gap, sort all the bounds, then visit the pairs
+    in decreasing order until a bound falls below the best ratio."""
+    n = K.edge_length
+    half = n // 2
+    sticks = K.sticks
+    m = len(sticks)
+    # two unequal bounds cap/gap differ by more than 1/n**2 (both gaps are
+    # below n), so this integer key sorts them exactly
+    scale = n * n
+    order = []
+    for a, b in combinations(range(m), 2):
+        if b - a == 1 or b - a == m - 1:
+            continue
+        A, B = sticks[a], sticks[b]
+        d_lo, d_hi = B.start - A.start - A.length, B.start - A.start + B.length
+        if d_lo + (half - d_lo) % n <= d_hi:  # some d = n/2 (mod n) in range
+            cap = half
+        else:
+            cap = max(distortion._arc(n, d_lo), distortion._arc(n, d_hi))
+        gap = (max(0, B.lo[0] - A.hi[0], A.lo[0] - B.hi[0])
+               + max(0, B.lo[1] - A.hi[1], A.lo[1] - B.hi[1])
+               + max(0, B.lo[2] - A.hi[2], A.lo[2] - B.hi[2]))
+        order.append((cap * scale // gap, a, b, cap, gap))
+    order.sort(reverse=True)
+
+    best = Fraction(1)
+    reached = []
+    for _, a, b, cap, gap in order:
+        if cap * best.denominator < best.numerator * gap:
+            break
+        ratio = Fraction(*distortion._pair_max(n, sticks[a], sticks[b]))
+        best = max(best, ratio)
+        reached.append((a, b, ratio))
+
+    found = []
+    for a, b, ratio in reached:
+        if ratio == best:
+            found += distortion._level_pairs(
+                n, sticks[a], sticks[b], best.numerator, best.denominator)
+    if best == 1:
+        owned = [range(s.start, s.start + s.length) for s in sticks]
+        for a in range(m):
+            found += combinations(owned[a], 2)
+            found += product(owned[a], owned[(a + 1) % m])
+    pairs = sorted({(min(i % n, j % n), max(i % n, j % n)) for i, j in found})
+    return DistortionReport(best, tuple(pairs), n * (n - 1) // 2)
+
+
+def rectangle(a, b):
+    return knot_from_vertices([(0, 0, 0), (a, 0, 0), (a, b, 0), (0, b, 0)])
+
+
+def dilated_knots():
+    """Torus p = 2, 3 and a spread of 12-edge census classes, each dilated
+    by factors up to 40: long sticks whose ties stretch into long runs."""
+    census = [K for K in enumerate_conformations(12) if K.edge_length == 12]
+    shapes = [torus_knot(2), torus_knot(3)] + census[::60]
+    return [dilate(K, factor) for K in shapes for factor in (2, 3, 7, 16, 40)]
+
+
+def test_kernel_matches_all_pairs_reference():
+    """Visiting by gap bucket changes no value, realizing pair or count."""
+    rng = random.Random(43)
+    corpora = [
+        enumerate_conformations(12),
+        [torus_knot(p) for p in range(2, 41)],
+        [rectangle(a, b) for a in range(1, 9) for b in range(1, 9)],
+        [random_lattice_knot(rng, 60) for _ in range(200)],
+        dilated_knots(),
+    ]
+    for corpus in corpora:
+        for K in corpus:
+            assert vertex_distortion(K) == reference_vertex_distortion(K), K
+
+
+def parallel_staircases(k):
+    """Two unit staircases of k x+ y+ steps each, one above the other and
+    joined by z steps: n = m = 4k + 2, every stick of length 1."""
+    lower = []
+    for i in range(k):
+        lower += [(i, i, 0), (i + 1, i, 0)]
+    lower.append((k, k, 0))
+    upper = [(x, y, 1) for x, y, _ in reversed(lower)]
+    return knot_from_vertices(lower + upper)
+
+
+def test_stick_dense_staircases():
+    K = parallel_staircases(100)
+    assert K.edge_length == K.stick_count == 402
+    report = vertex_distortion(K)
+    # vertex 100 is the middle of the lower staircase, 301 sits above it
+    assert (report.value, report.realizing_pairs) == (201, ((100, 301),))
+    assert (report.value, report.realizing_pairs) == vertex_distortion_oracle(K)
 
 
 def test_report_is_frozen(unit_square):

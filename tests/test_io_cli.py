@@ -618,7 +618,7 @@ def test_cli_survey_even_only(capsys):
 
 
 def test_cli_survey_cap(capsys):
-    code, _, err = run_cli(capsys, "survey", "--max-p", "30")
+    code, _, err = run_cli(capsys, "survey", "--max-p", "201")
     assert code == 2
     assert "cap" in err
 
