@@ -5,8 +5,9 @@
 # stick pair and compares ratios by integer cross multiplication, so every
 # value below is exact and its cost follows the number of sticks.
 
+from fractions import Fraction
+
 from latticeknots import (
-    distortion_upper_bound,
     format_exact,
     torus_knot,
     vertex_distortion,
@@ -24,11 +25,12 @@ report = vertex_distortion(square)
 print("unit square distortion:", format_exact(report.value),
       "- every pair realizes it:", report.realizing_pairs)
 
-# The trefoil conformation scores 11, against an upper bound of 12.
+# The trefoil conformation scores 11, against an upper bound of 12: no arc
+# is longer than half the knot, and no two vertices are closer than 1.
 trefoil = torus_knot(2)
 report = vertex_distortion(trefoil)
 print("trefoil:", format_exact(report.value),
-      "bound:", format_exact(distortion_upper_bound(trefoil)),
+      "bound:", format_exact(Fraction(trefoil.edge_length, 2)),
       "pairs:", report.realizing_pairs)
 
 # An independent check: breadth-first distances plus a plain all-pairs loop.

@@ -47,8 +47,12 @@ for p in (2, 3, 7, 10):
           f"({report.stick_count} sticks, {report.edge_length} edges)")
 
 # Levels elsewhere hold at most one arc; try a few planes of T_{4,5}.
+# An arc runs inside the plane until an x-stick leaves it, so each x-stick
+# starting at x = v closes one arc; an x-stick crossing the plane meets it in
+# an isolated point.
 K4 = torus_knot(4)
+x_sticks = [s for s in K4.sticks if s.type.axis == 0]
 for value in range(-2, 4):
-    level = K4.level(0, value)
-    print(f"x-level {value}: {len(level.arcs)} arcs, "
-          f"{len(level.isolated_points)} isolated points")
+    arcs = sum(1 for s in x_sticks if s.start_point[0] == value)
+    points = sum(1 for s in x_sticks if s.lo[0] < value < s.hi[0])
+    print(f"x-level {value}: {arcs} arcs, {points} isolated points")

@@ -1,13 +1,10 @@
 """Exact-arithmetic toolkit for knots in the cubic lattice."""
 
 from .lattice import (
-    Box,
     ISOMETRIES,
     Point,
-    apply_isometry,
     are_collinear,
     are_coplanar,
-    bounding_box,
     is_box_corner,
     is_staircase,
     l1_distance,
@@ -16,7 +13,6 @@ from .knot import (
     KnotError,
     LatticeKnot,
     LengthMismatch,
-    Level,
     NonAxisParallel,
     NotClosed,
     SelfIntersection,
@@ -25,18 +21,16 @@ from .knot import (
     Tabulation,
     build_knot,
     knot_from_vertices,
-    partial_sums,
 )
 from .distortion import (
     DistortionOneReport,
     DistortionReport,
     PreconditionFailed,
     check_distortion_one_structure,
-    distortion_upper_bound,
     format_exact,
     vertex_distortion,
 )
-from .oracle import bfs_distances, vertex_distortion_oracle
+from .oracle import vertex_distortion_oracle
 from .torus import (
     StructureReport,
     generate_torus_tabulation,

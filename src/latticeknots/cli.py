@@ -10,6 +10,7 @@ reduced fractions ("a/b", or a bare integer when the denominator is 1).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from collections import Counter
@@ -183,6 +184,10 @@ def cmd_survey(args: argparse.Namespace) -> int:
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
+    if args.golden_dir is not None and not args.classify:
+        print("error: --golden-dir writes the classified knots; it needs --classify",
+              file=sys.stderr)
+        return USAGE_ERROR
     knots = enumerate_conformations(args.max_length)
     header = "edge_length,conformations"
     if args.classify:
@@ -193,7 +198,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     print(header)
     for length in range(4, args.max_length + 1, 2):
         print(f"{length},{counts.get(length, 0)}")
-    if args.classify and args.golden_dir is not None:
+    if args.golden_dir is not None:
         out_dir = Path(args.golden_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         index: dict[int, int] = {}
@@ -205,6 +210,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache  # built on the first call, not at import; reused after
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="latticeknots",
@@ -269,15 +275,16 @@ def build_parser() -> argparse.ArgumentParser:
         "every vertex of one is a corner of its bounding box, so none exists "
         "past 8 edges, and longer lengths only exercise the distortion kernel",
     )
-    p_enu.add_argument("--golden-dir", default=None)
+    p_enu.add_argument("--golden-dir", default=None,
+                       help="write each classified knot as a vertex CSV here; "
+                       "needs --classify")
     p_enu.set_defaults(func=cmd_enumerate)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (json.JSONDecodeError,) as exc:

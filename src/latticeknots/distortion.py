@@ -77,11 +77,6 @@ class DistortionReport:
     pair_count_scanned: int
 
 
-def distortion_upper_bound(K: LatticeKnot) -> Fraction:
-    """Half the edge length; no pair's ratio can exceed it."""
-    return Fraction(K.edge_length, 2)
-
-
 def vertex_distortion(K: LatticeKnot) -> DistortionReport:
     """The exact maximum ratio and every vertex pair attaining it.
 

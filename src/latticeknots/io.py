@@ -21,9 +21,9 @@ from .knot import (
 from .lattice import Point
 
 
-def tabulation_to_dict(
+def dump_tabulation_json(
     tab: Tabulation, origin: Point = (0, 0, 0), torus_p: int | None = None
-) -> dict[str, Any]:
+) -> str:
     out: dict[str, Any] = {
         "types": [t.value for t in tab.types],
         "lengths": {
@@ -35,7 +35,7 @@ def tabulation_to_dict(
     }
     if torus_p is not None:
         out["torus_p"] = torus_p
-    return out
+    return json.dumps(out, sort_keys=True, separators=(", ", ": ")) + "\n"
 
 
 def _is_int(value: Any) -> bool:
@@ -47,8 +47,9 @@ def _is_int_list(value: Any) -> bool:
     return isinstance(value, list) and all(_is_int(v) for v in value)
 
 
-def dict_to_tabulation(data: Any) -> tuple[Tabulation, Point, int | None]:
+def load_tabulation_json(text: str) -> tuple[Tabulation, Point, int | None]:
     """Parse the JSON object form; returns (tabulation, origin, torus tag)."""
+    data = json.loads(text)
     if not isinstance(data, dict):
         raise ValueError("tabulation JSON must be an object")
     for key in ("types", "lengths"):
@@ -75,23 +76,6 @@ def dict_to_tabulation(data: Any) -> tuple[Tabulation, Point, int | None]:
         raise ValueError("'torus_p' must be an integer")
     tab = Tabulation(tuple(types), (columns[0], columns[1], columns[2]))
     return tab, origin, torus_p
-
-
-def dump_tabulation_json(
-    tab: Tabulation, origin: Point = (0, 0, 0), torus_p: int | None = None
-) -> str:
-    return (
-        json.dumps(
-            tabulation_to_dict(tab, origin, torus_p),
-            sort_keys=True,
-            separators=(", ", ": "),
-        )
-        + "\n"
-    )
-
-
-def load_tabulation_json(text: str) -> tuple[Tabulation, Point, int | None]:
-    return dict_to_tabulation(json.loads(text))
 
 
 def knot_to_vertex_csv(K: LatticeKnot) -> str:

@@ -8,7 +8,9 @@ positions is kept: validation uses a set that is dropped afterwards.
 
 Knots can be built from a tabulation (a cyclic stick-type sequence paired
 with per-axis columns of stick lengths, consumed in order) or from an
-explicit cyclic vertex list.
+explicit cyclic vertex list.  A built knot answers queries about its points
+and sticks (critical vertices, antipodes, arcs, signed partial sums) and
+reads off its canonical tabulation.
 """
 
 from __future__ import annotations
@@ -18,15 +20,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .lattice import (
-    AXES,
-    AXIS_NAMES,
-    Isometry,
-    Point,
-    apply_isometry,
-    bounding_box,
-    Box,
-)
+from .lattice import AXES, AXIS_NAMES, Point
 
 
 class KnotError(Exception):
@@ -188,34 +182,13 @@ class Stick:
     hi: Point
 
 
-@dataclass(frozen=True)
-class Level:
-    """Intersection of a knot with one axis-aligned integer plane.
-
-    ``arcs`` lists maximal runs of two or more consecutive vertex indices in
-    the plane, in traversal order; ``isolated_points`` lists the vertices
-    whose cycle neighbours both leave the plane.  A planar knot meets its own
-    plane in a single cyclic arc covering every vertex.
-    """
-
-    axis: int
-    value: int
-    arcs: tuple[tuple[int, ...], ...]
-    isolated_points: tuple[int, ...]
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.arcs and not self.isolated_points
-
-
 class LatticeKnot:
     """A validated closed simple axis-parallel lattice polygon.
 
     Stores ``steps``, ``vertices`` (every lattice point, in traversal order)
     and ``sticks`` (each carrying its ends and box); no point index is kept.
     Instances are immutable after construction and safe for concurrent use.
-    Orientation is part of the value; :meth:`reverse` returns the opposite
-    traversal as a new knot.
+    Orientation and starting vertex are part of the value.
     """
 
     __slots__ = ("steps", "vertices", "sticks")
@@ -299,48 +272,19 @@ class LatticeKnot:
             out.append(self.vertices[k])
         return tuple(out)
 
-    def bounding_box(self) -> Box:
-        return bounding_box(self.vertices)
+    def partial_sums(self, axis: int) -> tuple[int, ...]:
+        """Running signed sums of this axis's stick lengths in traversal order.
 
-    # -- levels and sums ----------------------------------------------
-
-    def level(self, axis: int, value: int) -> Level:
-        """The arcs and isolated points of the knot in the plane axis = value."""
-        n = self.edge_length
-        inside = [v[axis] == value for v in self.vertices]
-        if not any(inside):
-            return Level(axis, value, (), ())
-        if all(inside):
-            return Level(axis, value, (tuple(range(n)),), ())
-        arcs = []
-        points = []
-        for start in range(n):
-            if inside[start] and not inside[start - 1]:
-                run = [start]
-                k = (start + 1) % n
-                while inside[k]:
-                    run.append(k)
-                    k = (k + 1) % n
-                if len(run) == 1:
-                    points.append(start)
-                else:
-                    arcs.append(tuple(run))
-        return Level(axis, value, tuple(arcs), tuple(points))
-
-    def partial_sums(self, axis: int, signed: bool = True) -> tuple[int, ...]:
-        """Running sums of this axis's stick lengths in traversal order.
-
-        Signed sums carry the stick orientation and start from the first
+        The sums carry the stick orientation and start from the first
         critical vertex's coordinate, so the n-th sum is the level holding
-        the n-th stick's terminal critical vertex.  Unsigned sums are plain
-        cumulative lengths.
+        the n-th stick's terminal critical vertex.
         """
-        acc = self.sticks[0].start_point[axis] if signed else 0
+        acc = self.sticks[0].start_point[axis]
         out = []
         for stick in self.sticks:
             if stick.type.axis != axis:
                 continue
-            acc += stick.length * stick.type.sign if signed else stick.length
+            acc += stick.length * stick.type.sign
             out.append(acc)
         return tuple(out)
 
@@ -364,29 +308,6 @@ class LatticeKnot:
             ),
             ordered[0].start_point,
         )
-
-    def reverse(self) -> "LatticeKnot":
-        """The same polygon traversed in the opposite orientation."""
-        rev = tuple(s.opposite for s in reversed(self.steps))
-        return LatticeKnot(rev, self.origin)
-
-    def translate(self, offset: Point) -> "LatticeKnot":
-        return LatticeKnot(self.steps, _add(self.origin, offset))
-
-    def transform(self, iso: Isometry) -> "LatticeKnot":
-        """Apply one of the 48 signed axis permutations."""
-        perm, signs = iso
-        new_steps = tuple(
-            StickType.from_axis_sign(perm[s.axis], s.sign * signs[s.axis])
-            for s in self.steps
-        )
-        return LatticeKnot(new_steps, apply_isometry(iso, self.origin))
-
-    def rotate_start(self, new_start: int) -> "LatticeKnot":
-        """The same oriented polygon with the vertex cycle starting elsewhere."""
-        n = self.edge_length
-        new_steps = self.steps[new_start:] + self.steps[:new_start]
-        return LatticeKnot(new_steps, self.vertices[new_start % n])
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LatticeKnot):
@@ -441,21 +362,3 @@ def knot_from_vertices(cycle: Sequence[Point]) -> LatticeKnot:
         steps.extend([StickType.from_axis_sign(axis, sign)] * abs(diff[axis]))
     return LatticeKnot(steps, cycle[0])
 
-
-def partial_sums(
-    source: LatticeKnot | Tabulation,
-    axis: int,
-    signed: bool = True,
-    origin: Point = (0, 0, 0),
-) -> tuple[int, ...]:
-    """Partial sums of one axis's stick lengths, from a knot or a raw tabulation."""
-    if isinstance(source, LatticeKnot):
-        return source.partial_sums(axis, signed)
-    acc = origin[axis] if signed else 0
-    out = []
-    for t, length in zip(source.types, source.stick_lengths()):
-        if t.axis != axis:
-            continue
-        acc += length * t.sign if signed else length
-        out.append(acc)
-    return tuple(out)

@@ -8,7 +8,6 @@ point is used anywhere.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 Point = tuple[int, int, int]
@@ -47,43 +46,6 @@ def is_staircase(path: Sequence[Point]) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class Box:
-    """Axis-aligned box given by its componentwise min and max corners."""
-
-    min_corner: Point
-    max_corner: Point
-
-    def __post_init__(self) -> None:
-        if any(lo > hi for lo, hi in zip(self.min_corner, self.max_corner)):
-            raise ValueError("min_corner must be <= max_corner componentwise")
-
-    @property
-    def corners(self) -> tuple[Point, ...]:
-        """The distinct corner points, in lexicographic order."""
-        options = [
-            sorted({self.min_corner[axis], self.max_corner[axis]}) for axis in AXES
-        ]
-        return tuple(
-            (x, y, z) for x in options[0] for y in options[1] for z in options[2]
-        )
-
-    def contains(self, p: Point) -> bool:
-        return all(
-            self.min_corner[axis] <= p[axis] <= self.max_corner[axis] for axis in AXES
-        )
-
-
-def bounding_box(points: Iterable[Point]) -> Box:
-    """Smallest axis-aligned box containing all the points."""
-    pts = list(points)
-    if not pts:
-        raise ValueError("bounding_box of an empty point set")
-    lo = tuple(min(p[axis] for p in pts) for axis in AXES)
-    hi = tuple(max(p[axis] for p in pts) for axis in AXES)
-    return Box(lo, hi)
-
-
 def is_box_corner(v: Point, points: Iterable[Point]) -> bool:
     """True iff each coordinate of ``v`` bounds the point set from above or below.
 
@@ -110,14 +72,6 @@ ISOMETRIES: tuple[Isometry, ...] = tuple(
     for perm in itertools.permutations(AXES)
     for signs in itertools.product((1, -1), repeat=3)
 )
-
-
-def apply_isometry(iso: Isometry, p: Point) -> Point:
-    perm, signs = iso
-    out = [0, 0, 0]
-    for axis in AXES:
-        out[perm[axis]] = signs[axis] * p[axis]
-    return (out[0], out[1], out[2])
 
 
 def affine_rank(points: Sequence[Point]) -> int:

@@ -51,11 +51,6 @@ def _bfs(adj: list[list[int]], source: int) -> list[int]:
     return dist
 
 
-def bfs_distances(K: LatticeKnot, source: int) -> list[int]:
-    """Graph distance from vertex ``source`` to every vertex, by index."""
-    return _bfs(knot_graph(K), source)
-
-
 def vertex_distortion_oracle(
     K: LatticeKnot,
 ) -> tuple[Fraction, tuple[tuple[int, int], ...]]:

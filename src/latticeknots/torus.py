@@ -421,7 +421,7 @@ def _arc_counts(K: LatticeKnot) -> Counter[tuple[int, int]]:
     along the plane's axis, whose predecessor (never on the same axis in a
     simple knot) ran inside the plane.  So every stick ends one arc, in the
     plane through its start across its own axis.  A knot lying in one plane
-    has no stick across it and no count there; ``level`` gives it one arc.
+    has no stick across it and no count there, though it is one arc of it.
     """
     return Counter((s.type.axis, s.start_point[s.type.axis]) for s in K.sticks)
 

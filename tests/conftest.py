@@ -39,6 +39,40 @@ def distortion_pair_value(K, i: int, j: int) -> Fraction:
     return Fraction(knot_distance(K, i, j), l1_distance(K.vertices[i], K.vertices[j]))
 
 
+IDENTITY = ((0, 1, 2), (1, 1, 1))
+
+
+def isometry_image(iso, p):
+    """``p`` under a signed axis permutation: e_axis goes to
+    signs[axis] * e_perm[axis]."""
+    perm, signs = iso
+    out = [0, 0, 0]
+    for axis in range(3):
+        out[perm[axis]] = signs[axis] * p[axis]
+    return tuple(out)
+
+
+def moved_knot(K, iso=IDENTITY, shift=(0, 0, 0), start=0, reverse=False):
+    """``K`` under an isometry and then a shift, its cycle started at vertex
+    ``start`` and, if ``reverse``, traversed the other way from there;
+    rebuilt from the moved points through ``knot_from_vertices``."""
+    points = [
+        tuple(c + d for c, d in zip(isometry_image(iso, v), shift))
+        for v in K.vertices[start:] + K.vertices[:start]
+    ]
+    if reverse:
+        points = points[:1] + points[:0:-1]
+    return knot_from_vertices(points)
+
+
+def box(points):
+    """The per-axis minimum and maximum of a point set."""
+    points = list(points)
+    lo = tuple(min(p[axis] for p in points) for axis in range(3))
+    hi = tuple(max(p[axis] for p in points) for axis in range(3))
+    return lo, hi
+
+
 def staircase_count(a, b) -> int:
     """Number of monotone (staircase) unit-step walks from ``a`` to ``b``:
     the multinomial coefficient d! / (dx! dy! dz!) of the coordinate gaps."""

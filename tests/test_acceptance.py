@@ -17,10 +17,8 @@ from fractions import Fraction
 
 from latticeknots import (
     ISOMETRIES,
-    bfs_distances,
     build_knot,
     classify_distortion_one,
-    distortion_upper_bound,
     enumerate_conformations,
     generate_torus_tabulation,
     is_irreducible,
@@ -33,15 +31,23 @@ from latticeknots import (
     vertex_distortion_oracle,
 )
 from latticeknots.distortion import check_distortion_one_structure
-from latticeknots.knot import partial_sums
+from latticeknots.oracle import _bfs, knot_graph
 from latticeknots.reduction import Direction
 from latticeknots.torus import (
     distortion_formula_even_large,
     distortion_formula_even_small,
     distortion_formula_odd,
     edge_length_formula,
+    verify_x_level_2,
 )
-from conftest import is_reducible, knot_distance, staircase_count, trefoil_tabulation
+from conftest import (
+    box,
+    is_reducible,
+    knot_distance,
+    moved_knot,
+    staircase_count,
+    trefoil_tabulation,
+)
 
 # Scan values confirmed by the BFS oracle, then frozen.
 GOLDEN_DISTORTION = {
@@ -128,9 +134,9 @@ def test_criterion_2_family_structure():
         assert sums["y+"] == sums["y-"] == p * p
         assert sums["z+"] == sums["z-"] == p * p
 
-        y_sums = partial_sums(tab, 1)
-        z_sums = partial_sums(tab, 2)
-        x_sums = partial_sums(tab, 0)
+        y_sums = K.partial_sums(1)
+        z_sums = K.partial_sums(2)
+        x_sums = K.partial_sums(0)
         assert len(set(y_sums)) == len(y_sums)
         assert len(set(z_sums)) == len(z_sums)
         twos = [v for v in x_sums if v == 2]
@@ -139,7 +145,7 @@ def test_criterion_2_family_structure():
         assert len(set(others)) == len(others)
 
         if p >= 3:
-            assert len(K.level(0, 2).arcs) == p - 1
+            assert verify_x_level_2(p, K).arc_count == p - 1
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0, f"family checks took {elapsed:.2f} s"
     print(
@@ -219,8 +225,9 @@ def test_criterion_4_oracle_equivalence():
     for _ in range(50):
         K = random_lattice_knot(rng, max_edge_length=60)
         assert K.edge_length <= 60
+        adj = knot_graph(K)
         for i in range(K.edge_length):
-            row = bfs_distances(K, i)
+            row = _bfs(adj, i)
             for j in range(K.edge_length):
                 assert row[j] == knot_distance(K, i, j)
         report = vertex_distortion(K)
@@ -242,19 +249,17 @@ def test_criterion_5_distortion_one_classification():
         counts[K.edge_length] += 1
         report = check_distortion_one_structure(K)
         assert report.ok
-        box = K.bounding_box()
+        lo, hi = box(K.vertices)
         # every vertex lies on a face of the bounding box
         assert all(
-            box.contains(v)
-            and any(v[a] in (box.min_corner[a], box.max_corner[a]) for a in range(3))
-            for v in K.vertices
+            any(v[a] in (lo[a], hi[a]) for a in range(3)) for v in K.vertices
         )
     assert counts == {4: 1, 6: 1, 8: 0, 10: 0, 12: 0}
 
     square = next(K for K in survivors if K.edge_length == 4)
-    assert square.bounding_box().max_corner in ((1, 1, 0), (1, 0, 1), (0, 1, 1))
+    assert box(square.vertices)[1] in ((1, 1, 0), (1, 0, 1), (0, 1, 1))
     hexagon = next(K for K in survivors if K.edge_length == 6)
-    assert hexagon.bounding_box().max_corner == (1, 1, 1)
+    assert box(hexagon.vertices)[1] == (1, 1, 1)
 
     enumeration = {length: 0 for length in (4, 6, 8, 10, 12)}
     for K in knots:
@@ -336,14 +341,14 @@ def test_criterion_7_bounds_and_isometry_invariance():
 
     for K in knots:
         value = vertex_distortion(K).value
-        assert 1 <= value <= distortion_upper_bound(K)
+        assert 1 <= value <= Fraction(K.edge_length, 2)
 
     for K in knots[:12]:
         value = vertex_distortion(K).value
         for _ in range(20):
             iso = rng.choice(ISOMETRIES)
             shift = tuple(rng.randrange(-50, 51) for _ in range(3))
-            image = K.transform(iso).translate(shift)
+            image = moved_knot(K, iso, shift)
             assert vertex_distortion(image).value == value
     print(
         f"\nACCEPTANCE 7 PASS: 1 <= delta <= edge_length/2 on {len(knots)} "

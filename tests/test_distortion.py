@@ -8,9 +8,7 @@ import pytest
 from latticeknots import (
     ISOMETRIES,
     PreconditionFailed,
-    bfs_distances,
     check_distortion_one_structure,
-    distortion_upper_bound,
     enumerate_conformations,
     format_exact,
     knot_from_vertices,
@@ -22,7 +20,8 @@ from latticeknots import (
 import latticeknots.distortion as distortion
 from latticeknots.distortion import DistortionReport
 from latticeknots.lattice import l1_distance
-from conftest import distortion_pair_value, knot_distance
+from latticeknots.oracle import _bfs, knot_graph
+from conftest import distortion_pair_value, knot_distance, moved_knot
 
 
 def walk_both_ways(K, i, j):
@@ -109,10 +108,9 @@ def test_unit_distance_pair_on_t89_matches_global_maximum():
 
 
 def test_distortion_upper_bound(trefoil, unit_square):
-    assert distortion_upper_bound(unit_square) == 2
-    assert distortion_upper_bound(torus_knot(3)) == 26
+    # no arc is longer than half the knot, and no two vertices are closer than 1
     for K in (trefoil, unit_square, torus_knot(4)):
-        assert 1 <= vertex_distortion(K).value <= distortion_upper_bound(K)
+        assert 1 <= vertex_distortion(K).value <= Fraction(K.edge_length, 2)
 
 
 def test_distortion_invariant_under_isometries(trefoil, cube_hexagon):
@@ -122,14 +120,14 @@ def test_distortion_invariant_under_isometries(trefoil, cube_hexagon):
         for _ in range(20):
             iso = rng.choice(ISOMETRIES)
             shift = tuple(rng.randrange(-9, 10) for _ in range(3))
-            image = K.transform(iso).translate(shift)
+            image = moved_knot(K, iso, shift)
             assert vertex_distortion(image).value == value
 
 
 def test_distortion_invariant_under_reversal_and_rotation(trefoil):
     value = vertex_distortion(trefoil).value
-    assert vertex_distortion(trefoil.reverse()).value == value
-    assert vertex_distortion(trefoil.rotate_start(7)).value == value
+    assert vertex_distortion(moved_knot(trefoil, reverse=True)).value == value
+    assert vertex_distortion(moved_knot(trefoil, start=7)).value == value
 
 
 def test_structure_check_on_unit_square(unit_square):
@@ -153,8 +151,9 @@ def test_bfs_oracle_matches_arc_positions():
     rng = random.Random(23)
     for _ in range(10):
         K = random_lattice_knot(rng, 40)
+        adj = knot_graph(K)
         for i in range(K.edge_length):
-            row = bfs_distances(K, i)
+            row = _bfs(adj, i)
             for j in range(K.edge_length):
                 assert row[j] == knot_distance(K, i, j)
 
@@ -212,9 +211,9 @@ def test_oracle_matches_point_keyed_reference():
     random_knots = [random_lattice_knot(rng, 60) for _ in range(200)]
     for K in list(enumerate_conformations(10)) + rectangles + random_knots:
         assert vertex_distortion_oracle(K) == reference_oracle(K), K
-        adj = reference_graph(K)
+        adj, reference_adj = knot_graph(K), reference_graph(K)
         for i in range(K.edge_length):
-            assert bfs_distances(K, i) == reference_bfs_row(K, adj, i)
+            assert _bfs(adj, i) == reference_bfs_row(K, reference_adj, i)
 
 
 def dilate(K, factor):

@@ -8,7 +8,6 @@ from latticeknots import (
     ISOMETRIES,
     ReductionError,
     StickType,
-    apply_isometry,
     canonical_steps,
     classify_distortion_one,
     enumerate_conformations,
@@ -27,6 +26,7 @@ from latticeknots.explorer import (
     _closed_walks,
 )
 from latticeknots.lattice import affine_rank
+from conftest import box, isometry_image, moved_knot
 
 # Frozen regression values from the exhaustive backtracking enumeration.
 EXPECTED_COUNTS = {4: 1, 6: 3, 8: 11, 10: 73}
@@ -36,13 +36,13 @@ ROOTED_POLYGONS = {4: 24, 6: 264, 8: 3312, 10: 48240, 12: 762096}
 
 # Test-only reference for canonical forms: every image of an encoded step
 # sequence under the 48 isometries, both orientations and all n rotations,
-# with step images taken from apply_isometry.
+# with step images taken from isometry_image.
 STEPS = list(StickType)
 CODE = {t: i for i, t in enumerate(STEPS)}
 BY_STEP = {t.step: t for t in STEPS}
 PAD = bytes(range(6, 256))
 IMAGE_TABLES = [
-    bytes(CODE[BY_STEP[apply_isometry(iso, t.step)]] for t in STEPS) + PAD
+    bytes(CODE[BY_STEP[isometry_image(iso, t.step)]] for t in STEPS) + PAD
     for iso in ISOMETRIES
 ]
 OPPOSITE_TABLE = bytes(CODE[t.opposite] for t in STEPS) + PAD
@@ -128,7 +128,7 @@ def test_length_six_classes():
     planar = [K for K in hexagons if affine_rank(list(K.vertices)) == 2]
     # one planar class (the 2x1 rectangle); the other two bend out of plane
     assert len(planar) == 1
-    assert planar[0].bounding_box().max_corner in ((2, 1, 0), (1, 2, 0))
+    assert box(planar[0].vertices)[1] in ((2, 1, 0), (1, 2, 0))
     values = sorted(vertex_distortion(K).value for K in hexagons)
     assert values == [1, 3, 3]
 
@@ -139,10 +139,8 @@ def test_enumeration_is_isometry_canonical():
         reference = canonical_steps(K.steps)
         for _ in range(3):
             iso = rng.choice(ISOMETRIES)
-            image = K.transform(iso)
-            image = image.rotate_start(rng.randrange(image.edge_length))
-            if rng.random() < 0.5:
-                image = image.reverse()
+            start = rng.randrange(K.edge_length)
+            image = moved_knot(K, iso, start=start, reverse=rng.random() < 0.5)
             assert canonical_steps(image.steps) == reference
 
 
@@ -203,10 +201,9 @@ def test_canonical_steps_matches_brute_force_on_images():
         reference = brute_canonical(K.steps)
         assert canonical_steps(K.steps) == reference
         for _ in range(4):
-            image = K.transform(rng.choice(ISOMETRIES))
-            image = image.rotate_start(rng.randrange(image.edge_length))
-            if rng.random() < 0.5:
-                image = image.reverse()
+            iso = rng.choice(ISOMETRIES)
+            start = rng.randrange(K.edge_length)
+            image = moved_knot(K, iso, start=start, reverse=rng.random() < 0.5)
             assert canonical_steps(image.steps) == reference
 
 
@@ -289,7 +286,7 @@ def test_classification_finds_square_and_cube_hexagon():
     hexagon = by_length[6][0]
     # the nonplanar corner hexagon: all vertices on the unit cube
     assert affine_rank(list(hexagon.vertices)) == 3
-    assert hexagon.bounding_box().max_corner == (1, 1, 1)
+    assert box(hexagon.vertices)[1] == (1, 1, 1)
 
 
 def test_classification_extends_monotonically():

@@ -670,6 +670,35 @@ def test_cli_enumerate_classify_with_golden_dir(capsys, tmp_path):
     assert square.edge_length == 4
 
 
+def test_cli_enumerate_golden_dir_needs_classify(capsys, tmp_path):
+    golden = tmp_path / "golden"
+    code, out, err = run_cli(
+        capsys, "enumerate", "--max-length", "8", "--golden-dir", str(golden)
+    )
+    assert (code, out) == (2, "")
+    assert "--classify" in err
+    assert not golden.exists()
+
+
+def test_cli_main_reuses_one_parser(capsys, tmp_path):
+    # calls after the first, with other subcommands, print what a fresh
+    # process prints, a refusal included
+    path = filter(None, [str(SRC), os.environ.get("PYTHONPATH")])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    for argv in (
+        ["generate", "--p", "3"],
+        ["survey", "--max-p", "4"],
+        ["enumerate", "--max-length", "6", "--golden-dir", str(tmp_path / "gd")],
+        ["enumerate", "--max-length", "6"],
+    ):
+        fresh = subprocess.run(
+            [sys.executable, "-m", "latticeknots.cli", *argv],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert run_cli(capsys, *argv) == (fresh.returncode, fresh.stdout, fresh.stderr)
+    assert latticeknots.cli.build_parser() is latticeknots.cli.build_parser()
+
+
 def test_cli_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])

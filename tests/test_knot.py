@@ -18,9 +18,15 @@ from latticeknots import (
     Tabulation,
     build_knot,
     knot_from_vertices,
-    partial_sums,
 )
-from conftest import TREFOIL_TYPES, TREFOIL_X, TREFOIL_Y, TREFOIL_Z, trefoil_tabulation
+from conftest import (
+    TREFOIL_TYPES,
+    TREFOIL_X,
+    TREFOIL_Y,
+    TREFOIL_Z,
+    moved_knot,
+    trefoil_tabulation,
+)
 
 SRC = Path(latticeknots.__file__).resolve().parent.parent
 
@@ -155,7 +161,7 @@ def test_canonical_tabulation_starts_at_least_critical_vertex(trefoil):
     assert rebuilt.point_set == trefoil.point_set
     assert rebuilt.edge_length == trefoil.edge_length
     # same oriented cycle, just rotated to the canonical starting vertex
-    assert rebuilt == trefoil.rotate_start(trefoil.vertices.index(origin))
+    assert rebuilt == moved_knot(trefoil, start=trefoil.vertices.index(origin))
 
 
 def test_rebuild_from_canonical_form_is_identity_up_to_rotation():
@@ -169,60 +175,8 @@ def test_rebuild_from_canonical_form_is_identity_up_to_rotation():
         relisted = knot_from_vertices(list(K.vertices))
         tab, origin = relisted.canonical_tabulation()
         rebuilt = build_knot(tab, origin)
-        assert rebuilt == K.rotate_start(K.vertices.index(origin))
+        assert rebuilt == moved_knot(K, start=K.vertices.index(origin))
         assert rebuilt.point_set == K.point_set
-
-
-def test_levels(trefoil, unit_square):
-    away = trefoil.level(0, 10**6)
-    assert away.is_empty
-
-    whole = unit_square.level(2, 0)
-    assert whole.arcs == (tuple(range(4)),)
-    assert whole.isolated_points == ()
-
-    # the plane x = 1 slices two vertical sticks of the trefoil transversally
-    crossing = trefoil.level(0, 1)
-    assert len(crossing.isolated_points) + len(crossing.arcs) > 0
-
-
-def test_level_arc_endpoints_match_transversal_sticks(trefoil):
-    """Each arc has two ends, each continued by a stick leaving the plane."""
-    for axis in range(3):
-        lo = min(v[axis] for v in trefoil.vertices)
-        hi = max(v[axis] for v in trefoil.vertices)
-        for value in range(lo, hi + 1):
-            level = trefoil.level(axis, value)
-            if all(v[axis] == value for v in trefoil.vertices):
-                continue
-            ending_here = sum(
-                1
-                for s in trefoil.sticks
-                if s.type.axis == axis
-                and (
-                    trefoil.vertices[s.start][axis] == value
-                    or trefoil.vertices[(s.start + s.length) % trefoil.edge_length][
-                        axis
-                    ]
-                    == value
-                )
-            )
-            assert ending_here == 2 * len(level.arcs)
-            passing_through = sum(
-                1
-                for s in trefoil.sticks
-                if s.type.axis == axis
-                and min(
-                    trefoil.vertices[s.start][axis],
-                    trefoil.vertices[(s.start + s.length) % trefoil.edge_length][axis],
-                )
-                < value
-                < max(
-                    trefoil.vertices[s.start][axis],
-                    trefoil.vertices[(s.start + s.length) % trefoil.edge_length][axis],
-                )
-            )
-            assert passing_through == len(level.isolated_points)
 
 
 def test_partial_sums_close_to_zero(trefoil):
@@ -230,16 +184,11 @@ def test_partial_sums_close_to_zero(trefoil):
         assert trefoil.partial_sums(axis)[-1] == 0
 
 
-def test_partial_sums_signed_and_unsigned(trefoil):
-    # y-sticks of the trefoil: +1, -2, +3, -2
-    assert trefoil.partial_sums(1) == (1, -1, 2, 0)
-    assert trefoil.partial_sums(1, signed=False) == (1, 3, 6, 8)
-
-
 def test_partial_sums_from_raw_tabulation():
+    # y-sticks of the trefoil: +1, -2, +3, -2, summed from the origin's y
     tab = trefoil_tabulation()
-    assert partial_sums(tab, 1) == (1, -1, 2, 0)
-    assert partial_sums(tab, 1, origin=(0, 5, 0)) == (6, 4, 7, 5)
+    assert build_knot(tab).partial_sums(1) == (1, -1, 2, 0)
+    assert build_knot(tab, (0, 5, 0)).partial_sums(1) == (6, 4, 7, 5)
 
 
 def test_antipodal_vertex(trefoil, unit_square):
@@ -289,22 +238,6 @@ def _cap_address_space():
 def test_critical_flags_count_sticks(trefoil, unit_square):
     for K in (trefoil, unit_square):
         assert sum(map(K.is_critical, range(K.edge_length))) == K.stick_count
-
-
-def test_reverse_translate_transform(trefoil):
-    rev = trefoil.reverse()
-    assert rev.point_set == trefoil.point_set
-    assert rev.origin == trefoil.origin
-    assert rev.reverse() == trefoil
-
-    moved = trefoil.translate((5, -1, 2))
-    assert moved.origin == (5, -1, 2)
-    assert moved.edge_length == trefoil.edge_length
-
-    iso = ((1, 2, 0), (1, -1, 1))  # x->y, y->-z, z->x
-    image = trefoil.transform(iso)
-    assert image.edge_length == trefoil.edge_length
-    assert image.stick_count == trefoil.stick_count
 
 
 def test_signed_stick_sums_vanish_per_axis(trefoil, cube_hexagon):

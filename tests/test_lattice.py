@@ -1,19 +1,19 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latticeknots import (
-    bounding_box,
     is_box_corner,
     is_staircase,
     l1_distance,
     torus_knot,
 )
-from latticeknots.lattice import Box, affine_rank, are_collinear, are_coplanar
-from conftest import staircase_count
+from latticeknots.lattice import affine_rank, are_collinear, are_coplanar
+from conftest import box, staircase_count
 
 points = st.tuples(
     st.integers(-20, 20), st.integers(-20, 20), st.integers(-20, 20)
@@ -138,30 +138,6 @@ def test_walk_length_equals_l1_iff_staircase(path):
     assert (length == d1) == is_staircase(path)
 
 
-def test_bounding_box_examples():
-    assert bounding_box([(0, 0, 0)]) == Box((0, 0, 0), (0, 0, 0))
-    square = [(0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 0)]
-    assert bounding_box(square) == Box((0, 0, 0), (1, 1, 0))
-    with pytest.raises(ValueError):
-        bounding_box([])
-
-
-def test_bounding_box_matches_fold_on_torus_knot():
-    K = torus_knot(3)
-    lo = tuple(min(v[i] for v in K.vertices) for i in range(3))
-    hi = tuple(max(v[i] for v in K.vertices) for i in range(3))
-    box = bounding_box(K.vertices)
-    assert (box.min_corner, box.max_corner) == (lo, hi)
-
-
-def test_box_corners_deduplicate_degenerate_axes():
-    box = Box((0, 0, 0), (1, 1, 0))
-    assert len(box.corners) == 4
-    assert Box((0, 0, 0), (0, 0, 0)).corners == ((0, 0, 0),)
-    full = Box((0, 0, 0), (1, 2, 3))
-    assert len(full.corners) == 8
-
-
 def test_is_box_corner():
     square = [(0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 0)]
     assert all(is_box_corner(v, square) for v in square)
@@ -183,9 +159,10 @@ def test_is_box_corner():
 
 def test_is_box_corner_agrees_with_corner_membership():
     K = torus_knot(2)
-    box = K.bounding_box()
+    lo, hi = box(K.vertices)
+    corners = set(product(*zip(lo, hi)))  # per axis: its min or its max
     for v in K.vertices:
-        assert is_box_corner(v, K.vertices) == (v in box.corners)
+        assert is_box_corner(v, K.vertices) == (v in corners)
 
 
 def affine_rank_by_fractions(points):

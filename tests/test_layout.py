@@ -1,9 +1,11 @@
 import ast
+from collections import Counter
 from pathlib import Path
 
 import latticeknots
 
 PACKAGE = Path(latticeknots.__file__).resolve().parent
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_no_private_imports_between_modules():
@@ -40,3 +42,64 @@ def test_certificate_is_independent_of_kernel_and_oracle():
     assert not _import_parts("certificate") & {"distortion", "oracle"}
     for name in ("distortion", "oracle"):
         assert "certificate" not in _import_parts(name)
+
+
+def _public_definitions(tree: ast.Module) -> list[ast.AST]:
+    """Public top-level functions and classes, and the public methods and
+    properties of public classes."""
+    found = []
+    for node in tree.body:
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            continue
+        if node.name.startswith("_"):
+            continue
+        found.append(node)
+        if isinstance(node, ast.ClassDef):
+            found += [
+                member
+                for member in node.body
+                if isinstance(member, ast.FunctionDef)
+                and not member.name.startswith("_")
+            ]
+    return found
+
+
+def _references(tree: ast.AST) -> Counter[str]:
+    """How often a tree names each name: as a variable, an attribute, an
+    imported name or a dotted part of a string constant (perfbench wraps
+    layers by name)."""
+    names: Counter[str] = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            names[node.attr] += 1
+        elif isinstance(node, ast.alias):
+            names[node.name.split(".")[-1]] += 1
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            parts = node.value.split(".")
+            if all(part.isidentifier() for part in parts):
+                names.update(parts)
+    return names
+
+
+def test_every_public_name_has_a_caller():
+    # "code with no caller is deleted": a public name that only the tests
+    # reach is kept alive by its own tests, so every public function, class,
+    # method and property in src/ must be named in src/ outside its own
+    # definition and the package's re-exports, in demos/ or in perfbench/
+    modules = {
+        path.stem: ast.parse(path.read_text())
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "__init__.py"
+    }
+    scripts = sorted(ROOT.glob("demos/*.py")) + sorted(ROOT.glob("perfbench/*.py"))
+    trees = list(modules.values()) + [ast.parse(p.read_text()) for p in scripts]
+    everywhere = sum(map(_references, trees), Counter())
+    uncalled = [
+        f"{name}.{node.name}"
+        for name, tree in modules.items()
+        for node in _public_definitions(tree)
+        if not (everywhere - _references(node))[node.name]
+    ]
+    assert uncalled == []

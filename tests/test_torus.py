@@ -9,7 +9,7 @@ from latticeknots import (
     random_lattice_knot,
     torus_knot,
 )
-from latticeknots.knot import LatticeKnot, StickType
+from latticeknots.knot import StickType
 from latticeknots.lattice import are_coplanar
 from latticeknots.torus import (
     ClosureSumReport,
@@ -29,7 +29,7 @@ from latticeknots.torus import (
     verify_x_level_2,
     x_level_2_initial_vertex,
 )
-from conftest import TREFOIL_X, TREFOIL_Y, TREFOIL_Z
+from conftest import TREFOIL_X, TREFOIL_Y, TREFOIL_Z, box, moved_knot
 
 
 def test_generator_rejects_small_p():
@@ -193,12 +193,41 @@ def test_structure_report_ok_through_p10():
         assert report.sticks_per_axis == (2 * p, 2 * p, 2 * p)
 
 
+def level(K, axis, value):
+    """The arcs and isolated points of ``K`` in the plane axis = value, read
+    vertex by vertex: the reference for the counts read from sticks.
+
+    The arcs are the maximal runs of two or more consecutive vertex indices
+    in the plane, in traversal order; the isolated points are the vertices
+    whose cycle neighbours both leave it.  A knot lying in the plane meets
+    it in one cyclic arc covering every vertex.
+    """
+    n = K.edge_length
+    inside = [v[axis] == value for v in K.vertices]
+    if all(inside):
+        return (tuple(range(n)),), ()
+    arcs = []
+    points = []
+    for start in range(n):
+        if inside[start] and not inside[start - 1]:
+            run = [start]
+            k = (start + 1) % n
+            while inside[k]:
+                run.append(k)
+                k = (k + 1) % n
+            if len(run) == 1:
+                points.append(start)
+            else:
+                arcs.append(tuple(run))
+    return tuple(arcs), tuple(points)
+
+
 def test_every_level_has_at_most_one_arc_except_x2():
     K = torus_knot(4)
-    box = K.bounding_box()
+    lo, hi = box(K.vertices)
     for axis in range(3):
-        for value in range(box.min_corner[axis], box.max_corner[axis] + 1):
-            arcs = len(K.level(axis, value).arcs)
+        for value in range(lo[axis], hi[axis] + 1):
+            arcs = len(level(K, axis, value)[0])
             if axis == 0 and value == 2:
                 assert arcs == 3
             else:
@@ -212,11 +241,11 @@ def test_arc_counts_from_sticks_match_levels():
     knots += [random_lattice_knot(rng, 40) for _ in range(200)]
     for K in knots:
         counts = _arc_counts(K)
-        box = K.bounding_box()
+        lows, highs = box(K.vertices)
         for axis in range(3):
-            lo, hi = box.min_corner[axis], box.max_corner[axis]
+            lo, hi = lows[axis], highs[axis]
             for value in range(lo, hi + 1):
-                arcs = len(K.level(axis, value).arcs)
+                arcs = len(level(K, axis, value)[0])
                 if lo == hi:
                     # a planar knot is one arc of its own plane, crossed by no stick
                     assert (counts[axis, value], arcs) == (0, 1)
@@ -225,12 +254,12 @@ def test_arc_counts_from_sticks_match_levels():
 
 
 def reference_x_level_2(p, K):
-    """x-level 2 read vertex by vertex through ``LatticeKnot.level``."""
-    level = K.level(0, 2)
+    """x-level 2 read vertex by vertex through ``level``."""
+    arcs, isolated_points = level(K, 0, 2)
     initials = []
     y_lengths = []
     shapes_ok = True
-    for arc in level.arcs:
+    for arc in arcs:
         initials.append(K.vertices[arc[0]])
         moves = [K.steps[i] for i in arc[:-1]]
         y_part = [m for m in moves if m.axis == 1]
@@ -245,11 +274,11 @@ def reference_x_level_2(p, K):
         y_lengths.append(len(y_part))
     return XLevel2Report(
         p=p,
-        arc_count=len(level.arcs),
+        arc_count=len(arcs),
         arc_initials=tuple(initials),
         arcs_are_y_then_z=shapes_ok,
         y_leg_lengths=tuple(y_lengths),
-        isolated_point_count=len(level.isolated_points),
+        isolated_point_count=len(isolated_points),
     )
 
 
@@ -264,24 +293,11 @@ def test_x_level_2_from_sticks_matches_level_reference():
     knots += [random_lattice_knot(rng, 40) for _ in range(100)]
     for K in knots:
         for dx in range(4):
-            shifted = K.translate((dx, 0, 0))
-            box = shifted.bounding_box()
-            if box.min_corner[0] == box.max_corner[0] == 2:
+            shifted = moved_knot(K, shift=(dx, 0, 0))
+            lo, hi = box(shifted.vertices)
+            if lo[0] == hi[0] == 2:
                 continue
             assert verify_x_level_2(3, shifted) == reference_x_level_2(3, shifted)
-
-
-def test_structure_checks_never_call_level(monkeypatch):
-    calls = []
-    level = LatticeKnot.level
-
-    def counting_level(K, axis, value):
-        calls.append((axis, value))
-        return level(K, axis, value)
-
-    monkeypatch.setattr(LatticeKnot, "level", counting_level)
-    assert verify_structure(6, torus_knot(6)).ok
-    assert calls == []
 
 
 def test_distortion_formulas():
