@@ -116,6 +116,11 @@ def cmd_distortion(args: argparse.Namespace) -> int:
 
 
 def cmd_reduce(args: argparse.Namespace) -> int:
+    move = (args.stick, args.direction, args.amount, args.output)
+    if args.check_irreducible and any(option is not None for option in move):
+        print("error: --check-irreducible applies no move; it takes no -o, --stick, "
+              "--direction or --amount", file=sys.stderr)
+        return USAGE_ERROR
     K, _ = _load_knot(args.input)
     if args.check_irreducible:
         report = is_irreducible(K)
@@ -243,11 +248,24 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_red = sub.add_parser("reduce", help="apply a stick reduction or test all")
     p_red.add_argument("input")
-    p_red.add_argument("--stick", type=int, default=None)
-    p_red.add_argument("--direction", default=None)
-    p_red.add_argument("--amount", type=int, default=None)
-    p_red.add_argument("--check-irreducible", action="store_true")
-    p_red.add_argument("-o", "--output", default=None)
+    p_red.add_argument("--stick", type=int, default=None,
+                       help="0-based index of the stick to shorten")
+    p_red.add_argument(
+        "--direction", default=None,
+        help="which end of the stick slides inward: with_orientation (with, WITH) "
+        "or against_orientation (against, AGAINST)",
+    )
+    p_red.add_argument("--amount", type=int, default=None,
+                       help="how far the end slides; the knot loses 2 * amount edges")
+    p_red.add_argument(
+        "--check-irreducible", action="store_true",
+        help="apply no move; print 'irreducible', or 'reducible' and one "
+        "'stick direction amount' line per witness: every stick and direction "
+        "that admits a reduction, with its largest amount",
+    )
+    p_red.add_argument("-o", "--output", default=None,
+                       help="write the reduced knot as a vertex CSV here "
+                       "(default: stdout)")
     p_red.set_defaults(func=cmd_reduce)
 
     p_exp = sub.add_parser("export", help="export a knot as obj, csv or json")

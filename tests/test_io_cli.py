@@ -534,6 +534,25 @@ def test_cli_reduce_check_irreducible(capsys, tmp_path):
     assert out.strip() == "irreducible"
 
 
+def test_cli_reduce_check_irreducible_takes_no_move_options(capsys, tmp_path):
+    source = tmp_path / "rect.csv"
+    source.write_text("0,0,0\n2,0,0\n2,1,0\n0,1,0\n")
+    out_path = tmp_path / "out.csv"
+    for extra in (
+        ["-o", str(out_path)],
+        ["--stick", "0"],
+        ["--direction", "with"],
+        ["--amount", "1"],
+        ["-o", str(out_path), "--stick", "0", "--direction", "with", "--amount", "1"],
+    ):
+        code, out, err = run_cli(
+            capsys, "reduce", str(source), "--check-irreducible", *extra
+        )
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1 and "--check-irreducible" in err
+    assert not out_path.exists()
+
+
 def test_cli_reduce_applies_move(capsys, tmp_path):
     source = tmp_path / "rect.csv"
     source.write_text("0,0,0\n2,0,0\n2,1,0\n0,1,0\n")

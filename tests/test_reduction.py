@@ -215,21 +215,26 @@ def _reduction_corpus():
     rng = Random(7)
     knots = list(enumerate_conformations(10))
     knots += [random_lattice_knot(rng, 40) for _ in range(200)]
-    knots += [torus_knot(p) for p in range(2, 8)]
+    knots += [torus_knot(p) for p in range(2, 17)]
     return knots
 
 
 def test_max_amount_matches_rebuild_reference():
     # the reference revalidates every intermediate configuration through the
-    # LatticeKnot constructor instead of sweeping cells
+    # LatticeKnot constructor instead of sweeping cells; is_irreducible shares
+    # one plane index across its slides and must name the same amounts
     reducible = 0
     for K in _reduction_corpus():
+        witnesses = []
         for idx in range(K.stick_count):
             for direction in Direction:
                 expected = _max_amount_by_rebuilding(K, idx, direction)
                 assert max_reduction_amount(K, idx, direction) == expected
                 assert is_reducible(K, idx, direction) == (expected > 0)
                 reducible += expected > 0
+                if expected > 0:
+                    witnesses.append((idx, direction, expected))
+        assert is_irreducible(K).witnesses == tuple(witnesses)
     assert reducible > 0
 
 
@@ -255,9 +260,12 @@ def test_sweep_criterion_stays_quiet_on_reducible_sticks(rectangle):
 
 
 def test_box_sweep_matches_point_sweep():
-    # offset, point and stick pair agree at every limit, past the cap too
+    # offset, point and stick pair agree at every limit, past the cap too,
+    # with a fresh plane index per query and with one shared by every query
+    # on the knot, as is_irreducible shares it
     collisions = 0
     for K in _reduction_corpus():
+        planes = {}
         for idx in range(K.stick_count):
             for direction in Direction:
                 try:
@@ -266,9 +274,13 @@ def test_box_sweep_matches_point_sweep():
                     continue
                 ends = (K.sticks[plan.target], K.sticks[plan.absorber])
                 cap = min(stick.length for stick in ends) - 1
+                # the reference sweeps offsets in order, so its answer at a
+                # smaller limit is its first collision if that is within reach
+                first = _first_collision_by_points(K, plan, cap + 2)
                 for limit in range(1, cap + 3):
-                    expected = _first_collision_by_points(K, plan, limit)
+                    expected = first if first and first[0] <= limit else None
                     assert _first_collision(K, plan, limit) == expected
+                    assert _first_collision(K, plan, limit, planes) == expected
                     collisions += expected is not None
     assert collisions > 0
 
