@@ -19,6 +19,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .distortion import (
@@ -193,7 +194,8 @@ def enumerate_conformations(max_edge_length: int) -> Iterator[LatticeKnot]:
     classes: set[bytes] = set()
     _closed_walks(max_edge_length, lambda walk: classes.add(_canonical_codes(walk)))
     for codes in sorted(classes, key=lambda c: (len(c), c)):
-        yield LatticeKnot([_DIRS[c] for c in codes])
+        # unit runs, which the constructor merges into sticks
+        yield LatticeKnot(map(_DIRS.__getitem__, codes), repeat(1))
 
 
 def classify_distortion_one(knots: Iterable[LatticeKnot]) -> list[LatticeKnot]:
@@ -229,35 +231,34 @@ def random_lattice_knot(rng: random.Random, max_edge_length: int = 60) -> Lattic
         raise ValueError("need max_edge_length >= 4")
     length = rng.randrange(2, max_edge_length // 2 + 1) * 2
 
+    # a depth-first search over an explicit stack: one frame per point of
+    # the walk so far, holding the directions it has yet to try, drawn by
+    # rng.sample when the point is entered, as a recursive search draws them
     steps: list[StickType] = []
-    visited: dict[Point, int] = {}
+    visited: set[Point] = set()
+    frames: list[tuple[Point, Iterator[StickType]]] = []
     pos = (0, 0, 0)
-
-    def rec() -> bool:
-        nonlocal pos
+    while True:
         remaining = length - len(steps)
         if remaining == 0:
-            return pos == (0, 0, 0)
-        if abs(pos[0]) + abs(pos[1]) + abs(pos[2]) > remaining:
-            return False
-        if pos in visited:
-            return False
-        visited[pos] = len(steps)
-        here = pos
-        for t in rng.sample(_DIRS, 6):
-            steps.append(t)
-            d = t.step
-            pos = (here[0] + d[0], here[1] + d[1], here[2] + d[2])
-            if rec():
-                return True
-            steps.pop()
-        pos = here
-        del visited[pos]
-        return False
-
-    if not rec():
-        raise RuntimeError("no closed walk found (unreachable for length >= 4)")
-    return LatticeKnot(steps)
+            if pos == (0, 0, 0):
+                return LatticeKnot(steps, repeat(1))
+        elif abs(pos[0]) + abs(pos[1]) + abs(pos[2]) <= remaining and pos not in visited:
+            visited.add(pos)
+            frames.append((pos, iter(rng.sample(_DIRS, 6))))
+        while frames:
+            here, untried = frames[-1]
+            del steps[len(frames) - 1:]
+            step = next(untried, None)
+            if step is not None:
+                steps.append(step)
+                d = step.step
+                pos = (here[0] + d[0], here[1] + d[1], here[2] + d[2])
+                break
+            frames.pop()
+            visited.remove(here)
+        else:
+            raise RuntimeError("no closed walk found (unreachable for length >= 4)")
 
 
 @dataclass(frozen=True)

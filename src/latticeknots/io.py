@@ -79,10 +79,12 @@ def load_tabulation_json(text: str) -> tuple[Tabulation, Point, int | None]:
 
 
 def knot_to_vertex_csv(K: LatticeKnot) -> str:
-    """One row per lattice point in cyclic order, critical vertices flagged."""
+    """One row per lattice point in cyclic order, critical vertices (the
+    stick starts) flagged."""
+    starts = {stick.start for stick in K.sticks}
     lines = ["x,y,z,critical"]
-    for i, v in enumerate(K.vertices):
-        lines.append(f"{v[0]},{v[1]},{v[2]},{1 if K.is_critical(i) else 0}")
+    for i, (x, y, z) in enumerate(K.vertices):
+        lines.append(f"{x},{y},{z},{1 if i in starts else 0}")
     return "\n".join(lines) + "\n"
 
 

@@ -1,26 +1,33 @@
 """Lattice knots: stick types, tabulations, construction and validation.
 
 A lattice knot is a closed, simple, axis-parallel polygon in the cubic
-lattice.  It is stored as the full cyclic sequence of unit steps, every
-integer point it visits in traversal order, and its sticks, each with its
-end points and box computed once at construction.  No index from points to
-positions is kept: validation uses a set that is dropped afterwards.
+lattice.  It is stored as its sticks, each with its type, length, the index
+of its initial vertex, its end points and its box, and its edge length:
+nothing it keeps at construction grows with the edge length.  Its unit
+steps and its lattice points are built on first request and kept; past
+``MAX_POINTS`` points they are refused.
 
-Knots can be built from a tabulation (a cyclic stick-type sequence paired
-with per-axis columns of stick lengths, consumed in order) or from an
-explicit cyclic vertex list.  A built knot answers queries about its points
-and sticks (critical vertices, antipodes, arcs, signed partial sums) and
-reads off its canonical tabulation.
+There is one constructor, from stick types, stick lengths and an origin.
+A tabulation (a cyclic stick-type sequence paired with per-axis columns of
+stick lengths, consumed in order), an explicit cyclic vertex list, the
+census and the random sampler all hand it their runs.  Closure is one
+signed sum per axis; simplicity is tested on sticks, never on points.  A
+built knot answers queries about its points and sticks (critical vertices,
+antipodes, arcs, signed partial sums, the sticks meeting a lattice plane)
+and reads off its canonical tabulation.
 """
 
 from __future__ import annotations
 
 import enum
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from itertools import combinations
+from typing import Iterable, Iterator, Sequence
 
 from .lattice import AXES, AXIS_NAMES, Point
+
+MAX_POINTS = 2_000_000  # the most points steps and vertices list; see TooManyPoints
 
 
 class KnotError(Exception):
@@ -49,6 +56,15 @@ class LengthMismatch(KnotError):
 
 class NonAxisParallel(KnotError):
     """Consecutive vertices do not differ along exactly one axis."""
+
+
+class TooManyPoints(ValueError):
+    """Raised by ``steps`` and ``vertices``, before they allocate, past
+    ``MAX_POINTS`` = 2,000,000 lattice points.  Listed points take 112 B
+    each (tracemalloc, Python 3.11, x86-64 Linux); on a 2,000,002-point
+    rectangle an OBJ export peaks at 506 MB of RSS, a vertex CSV at 417 MB,
+    reduce -o at 403 MB and distortion --oracle at 398 MB, so each output
+    that lists points fits a 1 GiB address space up to the limit."""
 
 
 class StickType(enum.Enum):
@@ -92,10 +108,6 @@ _BY_AXIS_SIGN = {(t.axis, t.sign): t for t in StickType}
 for _t in StickType:
     _t.opposite = _BY_AXIS_SIGN[(_t.axis, -_t.sign)]
 del _t
-
-
-def _add(p: Point, q: Point) -> Point:
-    return (p[0] + q[0], p[1] + q[1], p[2] + q[2])
 
 
 @dataclass(frozen=True)
@@ -164,13 +176,16 @@ class Tabulation:
         return sum(self.stick_lengths())
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Stick:
     """A maximal straight segment and its geometry.
 
     ``start`` is the index of its initial vertex, ``start_point`` and
     ``end_point`` are its two ends in traversal order, and ``lo``/``hi`` are
-    the componentwise min and max of the ends: its box.
+    the componentwise min and max of the ends: its box.  Nothing writes a
+    stick after the constructor makes it; it is not frozen because a frozen
+    one takes 1.2 us to make against 0.3 us (Python 3.11), more than half
+    of what a census knot costs to build.
     """
 
     type: StickType
@@ -182,60 +197,106 @@ class Stick:
     hi: Point
 
 
+# a stick along axis a lies in one lattice plane across each of these axes
+_ACROSS = ((1, 2), (0, 2), (0, 1))
+
+
+def _lying_planes(sticks: Sequence[Stick]) -> dict[tuple[int, int], list[int]]:
+    """Stick indices by the planes ``(axis, coordinate)`` they lie in.
+
+    Two sticks that meet share such a plane: the axis neither runs along
+    if they are perpendicular, both others if they are parallel.
+    """
+    planes: dict[tuple[int, int], list[int]] = {}
+    for i, stick in enumerate(sticks):
+        for axis in _ACROSS[stick.type.axis]:
+            planes.setdefault((axis, stick.start_point[axis]), []).append(i)
+    return planes
+
+
+def _plane_pairs(sticks: list[Stick], owned: list[tuple]) -> Iterator[tuple[int, int]]:
+    """The pairs of sticks that lie in one plane and overlap along the axis
+    that plane's sticks span least: each plane is swept along that axis."""
+    for (axis, _), group in _lying_planes(sticks).items():
+        a = min(_ACROSS[axis], key=lambda k: sum(owned[i][k + 3] - owned[i][k] for i in group))
+        group.sort(key=lambda i: owned[i][a])
+        for k, i in enumerate(group):
+            end = owned[i][a + 3]
+            for j in group[k + 1:]:
+                if owned[j][a] > end:
+                    break
+                yield i, j
+
+
 class LatticeKnot:
     """A validated closed simple axis-parallel lattice polygon.
 
-    Stores ``steps``, ``vertices`` (every lattice point, in traversal order)
-    and ``sticks`` (each carrying its ends and box); no point index is kept.
-    Instances are immutable after construction and safe for concurrent use.
-    Orientation and starting vertex are part of the value.
+    Stores ``sticks`` (each carrying its ends and box) and ``edge_length``.
+    ``steps``, ``vertices`` (every lattice point, in traversal order) and
+    the plane index of ``plane`` are built on first use and kept; two
+    threads that race on one build the same value.  Instances are otherwise
+    immutable and safe for concurrent use.  Orientation and starting vertex
+    are part of the value.
     """
 
-    __slots__ = ("steps", "vertices", "sticks")
+    __slots__ = ("sticks", "edge_length", "_steps", "_vertices", "_planes")
 
-    def __init__(self, steps: Sequence[StickType], origin: Point = (0, 0, 0)):
-        steps = tuple(steps)
-        n = len(steps)
+    def __init__(
+        self, types: Iterable[StickType], lengths: Iterable[int], origin: Point = (0, 0, 0)
+    ):
+        """The walk that takes each type for its length from ``origin``.
+
+        Runs of one type merge into one stick, the last run with the first
+        too, so vertex 0 may lie inside the last stick.  Raises NotClosed
+        for fewer than 4 steps or a walk that does not return, and
+        SelfIntersection, with the first point revisited from vertex 0 and
+        the sticks of its two visits, for a walk that is not simple.
+        """
+        runs: list[list] = []
+        total = [0, 0, 0]
+        for t, length in zip(types, lengths):
+            total[t.axis] += t.sign * length
+            if runs and runs[-1][0] is t:
+                runs[-1][1] += length
+            else:
+                runs.append([t, length])
+        n = sum(length for _, length in runs)
         if n < 4:
             raise NotClosed("a closed simple lattice polygon needs at least 4 steps")
-        vertices: list[Point] = []
-        pos = (origin[0], origin[1], origin[2])
-        for step in steps:
-            vertices.append(pos)
-            pos = _add(pos, step.step)
-        if pos != vertices[0]:
-            total = tuple(p - q for p, q in zip(pos, vertices[0]))
-            raise NotClosed(f"steps sum to {total}, not to zero")
+        if total != [0, 0, 0]:
+            raise NotClosed(f"steps sum to {tuple(total)}, not to zero")
 
-        # sticks start where the direction changes; closed steps cannot all
-        # point one way
-        starts = [i for i in range(n) if steps[i - 1] != steps[i]]
-        if len(set(vertices)) < n:
-            first: dict[Point, int] = {}
-            for i, pos in enumerate(vertices):
-                if pos in first:
-                    # the vertices before the first start lie on the last stick
-                    pair = [(bisect_right(starts, k) - 1) % len(starts)
-                            for k in (first[pos], i)]
-                    raise SelfIntersection(pos, (pair[0], pair[1]))
-                first[pos] = i
-
+        start = runs.pop(0)[1] if runs[0][0] is runs[-1][0] else 0
+        runs[-1][1] += start
+        (x, y, z), (dx, dy, dz) = origin, runs[-1][0].step
+        x, y, z = x + dx * start, y + dy * start, z + dz * start
         sticks = []
-        for start, end in zip(starts, starts[1:] + [starts[0] + n]):
-            p, q = vertices[start], vertices[end % n]
-            lo, hi = (p, q) if p < q else (q, p)  # the ends differ on one axis
-            sticks.append(Stick(steps[start], end - start, start, p, q, lo, hi))
+        owned = []  # the box of the points a stick owns: all but its end
+        for t, length in runs:
+            p, (dx, dy, dz) = (x, y, z), t.step
+            x, y, z = x + dx * length, y + dy * length, z + dz * length
+            q, last = (x, y, z), (x - dx, y - dy, z - dz)
+            sticks.append(Stick(t, length, start, p, q, *((p, q) if p < q else (q, p))))
+            owned.append(p + last if p < q else last + p)
+            start += length
 
-        self.steps = steps
-        self.vertices = tuple(vertices)
+        # all pairs of a dozen sticks (every census knot to 12 edges) cost
+        # less than grouping them; more are paired by the planes they lie in
+        m = len(sticks)
+        pairs = combinations(range(m), 2) if m <= 12 else _plane_pairs(sticks, owned)
+        hits = [
+            (a, b)
+            for a, b in pairs
+            if (A := owned[a])[0] <= (B := owned[b])[3] and B[0] <= A[3]
+            and A[1] <= B[4] and B[1] <= A[4] and A[2] <= B[5] and B[2] <= A[5]
+        ]
+        if hits:
+            raise SelfIntersection(*_first_revisit(sticks, owned, hits, n, origin))
         self.sticks = tuple(sticks)
+        self.edge_length = n
+        self._steps = self._vertices = self._planes = None
 
     # -- basic queries ------------------------------------------------
-
-    @property
-    def edge_length(self) -> int:
-        """Number of unit edges; equals the number of lattice points visited."""
-        return len(self.steps)
 
     @property
     def stick_count(self) -> int:
@@ -243,7 +304,38 @@ class LatticeKnot:
 
     @property
     def origin(self) -> Point:
-        return self.vertices[0]
+        """Vertex 0: the first stick's start, or inside the last stick."""
+        (x, y, z), back = self.sticks[0].start_point, self.sticks[0].start
+        dx, dy, dz = self.sticks[-1].type.step
+        return (x - dx * back, y - dy * back, z - dz * back)
+
+    def _listed(self, per_stick) -> tuple:
+        """``per_stick`` of every stick joined, one item per unit step, from
+        vertex 0 on; refused past ``MAX_POINTS``."""
+        n = self.edge_length
+        if n > MAX_POINTS:
+            raise TooManyPoints(
+                f"the knot has {n} lattice points; listing them is refused past {MAX_POINTS}"
+            )
+        items: list = []
+        for stick in self.sticks:
+            items += per_stick(stick)
+        cut = n - self.sticks[0].start
+        return tuple(items[cut:] + items[:cut] if cut < n else items)
+
+    @property
+    def steps(self) -> tuple[StickType, ...]:
+        """The unit steps from vertex 0."""
+        if self._steps is None:
+            self._steps = self._listed(lambda s: [s.type] * s.length)
+        return self._steps
+
+    @property
+    def vertices(self) -> tuple[Point, ...]:
+        """Every lattice point, in traversal order from vertex 0."""
+        if self._vertices is None:
+            self._vertices = self._listed(_stick_points)
+        return self._vertices
 
     @property
     def point_set(self) -> frozenset[Point]:
@@ -251,7 +343,9 @@ class LatticeKnot:
 
     def is_critical(self, i: int) -> bool:
         """True iff vertex ``i`` is an endpoint of a stick (the knot turns there)."""
-        return self.steps[i - 1] != self.steps[i % self.edge_length]
+        k = i % self.edge_length
+        j = bisect_right(self.sticks, k, key=lambda s: s.start) - 1
+        return j >= 0 and self.sticks[j].start == k
 
     def antipodal_vertex(self, i: int) -> int:
         """Index of the vertex at arc distance edge_length/2 from vertex ``i``."""
@@ -265,12 +359,26 @@ class LatticeKnot:
         n = self.edge_length
         if not (0 <= i < n and 0 <= j < n):
             raise IndexError(f"vertex indices {i}, {j} out of range")
-        out = [self.vertices[i]]
-        k = i
-        while k != j:
-            k = (k + 1) % n
-            out.append(self.vertices[k])
-        return tuple(out)
+        vertices = self.vertices
+        return vertices[i:j + 1] if i <= j else vertices[i:] + vertices[:j + 1]
+
+    def plane(self, axis: int, c: int) -> list[tuple[int, Point, Point]]:
+        """``(index, lo, hi)`` of each stick whose box meets a plane that
+        some stick lies in, where ``axis`` holds ``c``: the sticks grouped
+        under it as the constructor groups them, and those along ``axis``
+        that cross or end in it.  Built for all such planes on first use,
+        in O(m log m) and one entry per crossing, and kept."""
+        if self._planes is None:
+            sticks = self.sticks
+            planes = _lying_planes(sticks)
+            levels = [sorted(level for k, level in planes if k == a) for a in AXES]
+            for i, s in enumerate(sticks):
+                run, cs = s.type.axis, levels[s.type.axis]
+                for level in cs[bisect_left(cs, s.lo[run]):bisect_right(cs, s.hi[run])]:
+                    planes[run, level].append(i)
+            self._planes = {key: [(i, sticks[i].lo, sticks[i].hi) for i in members]
+                            for key, members in planes.items()}
+        return self._planes.get((axis, c), [])
 
     def partial_sums(self, axis: int) -> tuple[int, ...]:
         """Running signed sums of this axis's stick lengths in traversal order.
@@ -310,18 +418,59 @@ class LatticeKnot:
         )
 
     def __eq__(self, other: object) -> bool:
+        # the sticks, with their start indices, fix the vertex sequence
         if not isinstance(other, LatticeKnot):
             return NotImplemented
-        return self.vertices == other.vertices
+        return self.sticks == other.sticks
 
     def __hash__(self) -> int:
-        return hash(self.vertices)
+        return hash(self.sticks)
 
     def __repr__(self) -> str:
         return (
             f"<LatticeKnot sticks={self.stick_count} "
             f"edge_length={self.edge_length} origin={self.origin}>"
         )
+
+
+def _stick_points(stick: Stick) -> list[Point]:
+    """The points a stick owns: its start and interior, not its end."""
+    (x, y, z), axis, sign = stick.start_point, stick.type.axis, stick.type.sign
+    run = range(stick.start_point[axis], stick.end_point[axis], sign)
+    if axis == 0:
+        return [(v, y, z) for v in run]
+    return [(x, v, z) for v in run] if axis == 1 else [(x, y, v) for v in run]
+
+
+def _first_revisit(
+    sticks: list[Stick], owned: list[tuple], hits: list[tuple[int, int]], n: int,
+    origin: Point,
+) -> tuple[Point, tuple[int, int]]:
+    """The first point the walk revisits and the sticks of its two visits.
+
+    Each vertex index is owned by one stick, and a point visited twice lies
+    in the owned boxes of a pair in ``hits``.  The answer is the shared
+    point whose later visit comes first, with (earlier, later) stick.  Two
+    perpendicular sticks share one point.  A stick owns the indices from
+    its start to the next stick's, so along a run shared by two parallel
+    sticks the later visit stays on one of them and moves one way, until
+    the last stick's indices restart at vertex 0: the least lies at an end
+    of the run or at vertex 0.
+    """
+    best = None
+    for a, b in hits:
+        A, B = sticks[a], sticks[b]
+        lo = [max(owned[a][k], owned[b][k]) for k in AXES]
+        hi = [min(owned[a][k + 3], owned[b][k + 3]) for k in AXES]
+        run = A.type.axis
+        for v in {lo[run], hi[run], origin[run]}:
+            if lo[run] <= v <= hi[run]:
+                point = tuple(lo[:run] + [v] + lo[run + 1:])
+                i, j = ((S.start + abs(point[S.type.axis] - S.start_point[S.type.axis])) % n
+                        for S in (A, B))
+                key = (i, j, point, (b, a)) if i > j else (j, i, point, (a, b))
+                best = key if best is None or key < best else best
+    return best[2], best[3]
 
 
 def build_knot(tab: Tabulation, origin: Point = (0, 0, 0)) -> LatticeKnot:
@@ -333,14 +482,11 @@ def build_knot(tab: Tabulation, origin: Point = (0, 0, 0)) -> LatticeKnot:
     SelfIntersection (with the offending point and stick pair) if it revisits
     a lattice point.
     """
-    steps: list[StickType] = []
-    for t, length in zip(tab.types, tab.stick_lengths()):
-        steps.extend([t] * length)
-    return LatticeKnot(steps, origin)
+    return LatticeKnot(tab.types, tab.stick_lengths(), origin)
 
 
 def knot_from_vertices(cycle: Sequence[Point]) -> LatticeKnot:
-    """Build a knot from a cyclic list of points, interpolating unit steps.
+    """Build a knot from a cyclic list of points, one run per segment.
 
     Consecutive points (cyclically) must differ along exactly one axis.
     Collinear same-direction segments merge into one stick; opposite-direction
@@ -348,7 +494,8 @@ def knot_from_vertices(cycle: Sequence[Point]) -> LatticeKnot:
     """
     if len(cycle) < 3:
         raise NotClosed("a vertex cycle needs at least 3 points")
-    steps: list[StickType] = []
+    types: list[StickType] = []
+    lengths: list[int] = []
     n = len(cycle)
     for k in range(n):
         p = cycle[k]
@@ -358,7 +505,6 @@ def knot_from_vertices(cycle: Sequence[Point]) -> LatticeKnot:
         if len(nonzero) != 1:
             raise NonAxisParallel(f"{p} -> {q} does not move along exactly one axis")
         axis = nonzero[0]
-        sign = 1 if diff[axis] > 0 else -1
-        steps.extend([StickType.from_axis_sign(axis, sign)] * abs(diff[axis]))
-    return LatticeKnot(steps, cycle[0])
-
+        types.append(StickType.from_axis_sign(axis, 1 if diff[axis] > 0 else -1))
+        lengths.append(abs(diff[axis]))
+    return LatticeKnot(types, lengths, cycle[0])

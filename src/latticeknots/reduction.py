@@ -132,7 +132,7 @@ def _rebuild(K: LatticeKnot, plan: _Plan, amount: int) -> LatticeKnot:
 
 
 def _first_collision(
-    K: LatticeKnot, plan: _Plan, limit: int, planes: dict | None = None
+    K: LatticeKnot, plan: _Plan, limit: int
 ) -> tuple[int, Point, tuple[int, int]] | None:
     """The first collision of a slide by up to ``limit``, or None if clear.
 
@@ -148,15 +148,13 @@ def _first_collision(
     or blocks one interval of offsets, read off the slide axis.  A stick
     running along ``run`` sweeps the plane where the third axis ``fixed``
     holds its start's coordinate, so only the sticks whose box holds that
-    coordinate are visited, and those past the best offset so far are
-    skipped.  ``planes`` maps ``(fixed, c)`` to them, filled by one scan of
-    ``K.sticks`` per plane on first use; it does not depend on the plan, so
-    the slides of one knot may share it.  Ties at the least offset go to the
-    earlier stick in ``plan.translating``, then to the point nearest its
-    start, then to the higher static index: the order of a sweep that shifts
-    every point of every translating stick, offset by offset.
+    coordinate are visited, read from the knot's plane index (built once
+    per knot and shared by all its slides), and those past the best offset
+    so far are skipped.  Ties at the least offset go to the earlier stick
+    in ``plan.translating``, then to the point nearest its start, then to
+    the higher static index: the order of a sweep that shifts every point
+    of every translating stick, offset by offset.
     """
-    planes = {} if planes is None else planes
     axis = K.sticks[plan.target].type.axis
     sign = plan.delta[axis]
     moving = {plan.target, plan.absorber, *plan.translating}
@@ -166,11 +164,7 @@ def _first_collision(
         start, lo, hi = stick.start_point, stick.lo, stick.hi
         run = stick.type.axis
         fixed = 3 - axis - run
-        c = start[fixed]
-        if (fixed, c) not in planes:
-            planes[fixed, c] = [(i, s.lo, s.hi) for i, s in enumerate(K.sticks)
-                                if s.lo[fixed] <= c <= s.hi[fixed]]
-        for s_idx, s_lo, s_hi in planes[fixed, c]:
+        for s_idx, s_lo, s_hi in K.plane(fixed, start[fixed]):
             if s_hi[run] < lo[run] or hi[run] < s_lo[run] or s_idx in moving:
                 continue
             near = sign * (s_lo[axis] - start[axis])
@@ -246,18 +240,14 @@ def apply_extension(
 
 def max_reduction_amount(K: LatticeKnot, stick_index: int, direction: Direction) -> int:
     """Largest amount the stick can be reduced by in that direction; 0 if none."""
-    return _max_amount(K, stick_index, direction, {})
-
-
-def _max_amount(K: LatticeKnot, stick: int, direction: Direction, planes: dict) -> int:
     try:
-        plan = _plan_move(K, stick, direction)
+        plan = _plan_move(K, stick_index, direction)
     except NonReducingMove:
         return 0
     cap = min(K.sticks[plan.target].length, K.sticks[plan.absorber].length) - 1
     if cap < 1:
         return 0
-    collision = _first_collision(K, plan, cap, planes)
+    collision = _first_collision(K, plan, cap)
     return cap if collision is None else collision[0] - 1
 
 
@@ -272,14 +262,12 @@ class IrreducibilityReport:
 def is_irreducible(K: LatticeKnot) -> IrreducibilityReport:
     """Exhaustively test every stick in both directions.
 
-    The 2m slides share one plane index, so each swept plane costs one scan
-    of the sticks (92 planes for the 108 sticks of torus p = 18).
+    The 2m slides share the knot's plane index, built on the first slide.
     """
-    planes: dict = {}
     witnesses = []
     for idx in range(len(K.sticks)):
         for direction in Direction:
-            amount = _max_amount(K, idx, direction, planes)
+            amount = max_reduction_amount(K, idx, direction)
             if amount > 0:
                 witnesses.append((idx, direction, amount))
     return IrreducibilityReport(not witnesses, tuple(witnesses))

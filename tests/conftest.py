@@ -1,9 +1,14 @@
 import math
+from bisect import bisect_right
 from fractions import Fraction
 
 import pytest
 
 from latticeknots import (
+    NotClosed,
+    SelfIntersection,
+    Stick,
+    StickType,
     Tabulation,
     build_knot,
     knot_from_vertices,
@@ -84,6 +89,70 @@ def is_reducible(K, stick_index: int, direction) -> bool:
     """True iff some reduction of this stick in this direction succeeds;
     every slide passes through offset one, so the one-step sweep decides."""
     return max_reduction_amount(K, stick_index, direction) > 0
+
+
+def reference_knot(steps, origin=(0, 0, 0)):
+    """The point-by-point constructor that LatticeKnot was before it was
+    built from sticks: it lists every lattice point and finds the first one
+    revisited with a dict.  Returns (steps, vertices, sticks), or raises
+    NotClosed or SelfIntersection as that constructor did."""
+    steps = tuple(steps)
+    n = len(steps)
+    if n < 4:
+        raise NotClosed("a closed simple lattice polygon needs at least 4 steps")
+    vertices = []
+    pos = tuple(origin)
+    for step in steps:
+        vertices.append(pos)
+        pos = tuple(c + d for c, d in zip(pos, step.step))
+    if pos != vertices[0]:
+        total = tuple(p - q for p, q in zip(pos, vertices[0]))
+        raise NotClosed(f"steps sum to {total}, not to zero")
+    starts = [i for i in range(n) if steps[i - 1] != steps[i]]
+    first = {}
+    for i, pos in enumerate(vertices):
+        if pos in first:
+            # the vertices before the first start lie on the last stick
+            pair = [(bisect_right(starts, k) - 1) % len(starts) for k in (first[pos], i)]
+            raise SelfIntersection(pos, (pair[0], pair[1]))
+        first[pos] = i
+    sticks = []
+    for start, end in zip(starts, starts[1:] + [starts[0] + n]):
+        p, q = vertices[start], vertices[end % n]
+        lo, hi = (p, q) if p < q else (q, p)
+        sticks.append(Stick(steps[start], end - start, start, p, q, lo, hi))
+    return steps, tuple(vertices), tuple(sticks)
+
+
+def reference_random_steps(rng, max_edge_length=60):
+    """The steps of ``random_lattice_knot`` as its recursive search drew
+    them, one call per step, before the search kept its own stack."""
+    length = rng.randrange(2, max_edge_length // 2 + 1) * 2
+    steps, visited, pos = [], {}, (0, 0, 0)
+
+    def rec():
+        nonlocal pos
+        remaining = length - len(steps)
+        if remaining == 0:
+            return pos == (0, 0, 0)
+        if abs(pos[0]) + abs(pos[1]) + abs(pos[2]) > remaining:
+            return False
+        if pos in visited:
+            return False
+        visited[pos] = len(steps)
+        here = pos
+        for t in rng.sample(tuple(StickType), 6):
+            steps.append(t)
+            pos = tuple(c + d for c, d in zip(here, t.step))
+            if rec():
+                return True
+            steps.pop()
+        pos = here
+        del visited[pos]
+        return False
+
+    assert rec()
+    return steps
 
 
 @pytest.fixture

@@ -3,6 +3,7 @@ import os
 import resource
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -14,7 +15,7 @@ import latticeknots
 import latticeknots.certificate
 import latticeknots.cli
 import latticeknots.torus
-from latticeknots import build_knot, knot_from_vertices, torus_knot
+from latticeknots import Tabulation, build_knot, knot_from_vertices, torus_knot
 from latticeknots.cli import main
 from latticeknots.io import (
     dump_tabulation_json,
@@ -232,38 +233,43 @@ def _cap_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
 
+LONG_JSON = (
+    '{"types": ["x+", "y+", "x-", "y-"], '
+    '"lengths": {"x": [1000000000000, 1000000000000], "y": [1, 1]}}'
+)
+FAR_CSV = "0,0,0\n1000000000000,0,0\n1000000000000,1,0\n0,1,0\n"
+LONG_SUMMARY = "simple, closed, 4 sticks, length 2000000000002\n"
+OBJ = ("export", "--format", "obj")
+
+
 @pytest.mark.parametrize(
-    "name, text, code",
+    "name, text, command, code, out",
     [
+        pytest.param("long.json", LONG_JSON, ("validate",), 0, LONG_SUMMARY,
+                     id="json-length-1e12"),
+        pytest.param("far.csv", FAR_CSV, ("validate",), 0, LONG_SUMMARY,
+                     id="csv-coordinate-1e12"),
+        pytest.param("long.json", LONG_JSON, OBJ, 2, "", id="json-length-1e12-obj"),
+        pytest.param("far.csv", FAR_CSV, OBJ, 2, "", id="csv-coordinate-1e12-obj"),
+        pytest.param("deep.json", "[" * 100_000 + "]" * 100_000, ("validate",), 2, "",
+                     id="json-deep"),
         pytest.param(
-            "long.json",
-            '{"types": ["x+", "y+", "x-", "y-"], '
-            '"lengths": {"x": [1000000000000, 1000000000000], "y": [1, 1]}}',
-            2,
-            id="json-length-1e12",
-        ),
-        pytest.param(
-            "far.csv",
-            "0,0,0\n1000000000000,0,0\n1000000000000,1,0\n0,1,0\n",
-            2,
-            id="csv-coordinate-1e12",
-        ),
-        pytest.param("deep.json", "[" * 100_000 + "]" * 100_000, 2, id="json-deep"),
-        pytest.param(
-            "mistagged.json", "{" + SQUARE_FIELDS + ', "torus_p": 100000000}', 1,
+            "mistagged.json", "{" + SQUARE_FIELDS + ', "torus_p": 100000000}',
+            ("validate",), 1, "simple, closed, 4 sticks, length 4\n",
             id="torus-tag-1e8",
         ),
     ],
 )
-def test_cli_refuses_huge_input_cleanly(tmp_path, name, text, code):
+def test_cli_refuses_huge_input_cleanly(tmp_path, name, text, command, code, out):
     # a child process under a 1 GiB address-space cap, so that the outcome
-    # does not depend on how the host overcommits memory
+    # does not depend on how the host overcommits memory; a knot of 10**12
+    # edges validates from its sticks, but listing its points is refused
     target = tmp_path / name
     target.write_text(text)
     path = filter(None, [str(SRC), os.environ.get("PYTHONPATH")])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
     result = subprocess.run(
-        [sys.executable, "-m", "latticeknots.cli", "validate", str(target)],
+        [sys.executable, "-m", "latticeknots.cli", command[0], str(target), *command[1:]],
         env=env,
         capture_output=True,
         text=True,
@@ -271,8 +277,79 @@ def test_cli_refuses_huge_input_cleanly(tmp_path, name, text, code):
         preexec_fn=_cap_address_space,
     )
     assert result.returncode == code, result.stderr
-    assert len(result.stderr.splitlines()) == 1, result.stderr
+    assert result.stdout == out
+    assert len(result.stderr.splitlines()) == (code != 0), result.stderr
     assert "Traceback" not in result.stderr
+
+
+def _torus_scaled(p, factor):
+    tab = generate_torus_tabulation(p)
+    columns = tuple(tuple(factor * n for n in column) for column in tab.lengths)
+    return dump_tabulation_json(Tabulation(tab.types, columns))
+
+
+E12 = 10**12
+SQUARE_1E12_CSV = f"0,0,0\n{E12},0,0\n{E12},{E12},0\n0,{E12},0\n"
+
+
+@pytest.mark.parametrize(
+    "name, text, summary",
+    [
+        pytest.param("square.csv", SQUARE_1E12_CSV,
+                     f"simple, closed, 4 sticks, length {4 * E12}\n", id="square-1e12"),
+        pytest.param("t5.json", _torus_scaled(5, 10**9),
+                     f"simple, closed, 30 sticks, length {138 * 10**9}\n",
+                     id="torus5-times-1e9"),
+    ],
+)
+def test_cli_answers_lengths_up_to_1e12_from_sticks(tmp_path, name, text, summary):
+    # nothing but listing points grows with the edge length, so each command
+    # ends within a second under the 1 GiB address-space cap
+    target = tmp_path / name
+    target.write_text(text)
+    path = filter(None, [str(SRC), os.environ.get("PYTHONPATH")])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    outputs = []
+    for command in (["validate"], ["distortion", "--pairs"],
+                    ["reduce", "--check-irreducible"]):
+        start = time.perf_counter()
+        result = subprocess.run(
+            [sys.executable, "-m", "latticeknots.cli", command[0], str(target),
+             *command[1:]],
+            env=env, capture_output=True, text=True, timeout=60,
+            preexec_fn=_cap_address_space,
+        )
+        elapsed = time.perf_counter() - start
+        assert (result.returncode, result.stderr) == (0, ""), command
+        assert elapsed < 1.0, (command, elapsed)
+        outputs.append(result.stdout)
+    K, _ = latticeknots.io.load_knot_text(text, "csv" if name.endswith(".csv") else "json")
+    report = latticeknots.vertex_distortion(K)
+    pairs = "".join(f"{i} {j}\n" for i, j in report.realizing_pairs)
+    assert outputs[0] == summary
+    assert outputs[1] == f"{latticeknots.format_exact(report.value)}\n{pairs}"
+    assert outputs[2].splitlines()[0] == "reducible"
+    if name == "square.csv":
+        # the midpoints of opposite sides, 2 * 10**12 apart along the knot
+        assert outputs[1] == f"2\n{E12 // 2} {5 * E12 // 2}\n{3 * E12 // 2} {7 * E12 // 2}\n"
+
+
+@pytest.mark.parametrize("command", [
+    ("export", "--format", "csv"),
+    ("export", "--format", "obj"),
+    ("reduce", "--stick", "0", "--direction", "with", "--amount", "1", "-o", "out.csv"),
+    ("distortion", "--oracle"),
+])
+def test_cli_refuses_to_list_too_many_points(capsys, tmp_path, monkeypatch, command):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "square.csv").write_text(SQUARE_1E12_CSV)
+    code, out, err = run_cli(capsys, command[0], "square.csv", *command[1:])
+    assert code == 2
+    assert out == ""
+    assert err == (f"error: the knot has {4 * E12 - 2 * (command[0] == 'reduce')} "
+                   f"lattice points; listing them is refused past "
+                   f"{latticeknots.knot.MAX_POINTS}\n")
+    assert not (tmp_path / "out.csv").exists()
 
 
 # Fuzzed inputs keep every number small: a large coordinate or length is a

@@ -1,14 +1,17 @@
 import os
+import random
 import resource
 import subprocess
 import sys
 import tracemalloc
+from itertools import groupby
 from pathlib import Path
 
 import pytest
 
 import latticeknots
 from latticeknots import (
+    KnotError,
     LatticeKnot,
     LengthMismatch,
     NonAxisParallel,
@@ -17,16 +20,23 @@ from latticeknots import (
     StickType,
     Tabulation,
     build_knot,
+    enumerate_conformations,
+    generate_torus_tabulation,
     knot_from_vertices,
+    random_lattice_knot,
 )
+from latticeknots.knot import MAX_POINTS, TooManyPoints
 from conftest import (
     TREFOIL_TYPES,
     TREFOIL_X,
     TREFOIL_Y,
     TREFOIL_Z,
     moved_knot,
+    reference_knot,
+    reference_random_steps,
     trefoil_tabulation,
 )
+from test_distortion import dilated_knots
 
 SRC = Path(latticeknots.__file__).resolve().parent.parent
 
@@ -83,23 +93,148 @@ def test_self_intersection_before_first_stick_start_is_on_last_stick():
     # origin, visited first at index 0, belongs to the last stick
     steps = [StickType.parse(t) for t in "x+ y- x- y+ y+ x- y- x+".split()]
     with pytest.raises(SelfIntersection) as exc:
-        LatticeKnot(steps)
+        LatticeKnot(steps, [1] * len(steps))
     assert exc.value.point == (0, 0, 0)
     assert exc.value.stick_indices == (5, 2)
 
 
 def test_long_rectangle_retains_at_most_150_bytes_per_edge():
-    # steps, vertices and four sticks; a retained point index would add ~80 B
+    # four sticks and nothing per edge until the points are asked for; then
+    # steps and vertices, and a retained point index would add ~80 B
     corners = [(0, 0, 0), (100_000, 0, 0), (100_000, 1, 0), (0, 1, 0)]
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
         K = knot_from_vertices(corners)
-        retained = tracemalloc.get_traced_memory()[0] - before
+        built = tracemalloc.get_traced_memory()[0] - before
+        K.steps, K.vertices
+        listed = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
     assert K.edge_length == 200_002
-    assert retained <= 150 * K.edge_length
+    assert built < 4096
+    assert listed <= 150 * K.edge_length
+
+
+def test_points_past_the_limit_are_refused_before_they_are_listed():
+    a = MAX_POINTS // 2
+    K = knot_from_vertices([(0, 0, 0), (a, 0, 0), (a, 1, 0), (0, 1, 0)])
+    assert K.edge_length == MAX_POINTS + 2
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for name in ("steps", "vertices", "point_set"):
+            with pytest.raises(TooManyPoints, match=f"refused past {MAX_POINTS}"):
+                getattr(K, name)
+        grown = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert grown < 65536
+    assert issubclass(TooManyPoints, ValueError)
+
+
+def _outcome(build):
+    """What a constructor gives: (steps, vertices, sticks), or the error's
+    class, message, point and stick pair."""
+    try:
+        K = build()
+    except KnotError as exc:
+        point, pair = getattr(exc, "point", None), getattr(exc, "stick_indices", None)
+        return type(exc), str(exc), point, pair
+    return K if isinstance(K, tuple) else (K.steps, K.vertices, K.sticks)
+
+
+def _unit_steps(types, lengths):
+    return [t for t, length in zip(types, lengths) for _ in range(length)]
+
+
+def _random_walks(rng, count):
+    """Random short walks as (types, lengths, origin): most closed, many of
+    those not simple, each cut into runs at random places, so that a type
+    often repeats in consecutive runs and the last run often continues the
+    first."""
+    dirs = list(StickType)
+    for _ in range(count):
+        steps = []
+        for _ in range(rng.randrange(1, 16)):
+            steps += [rng.choice(dirs)] * rng.randrange(1, 4)
+        if rng.random() < 0.9:
+            for axis in rng.sample(range(3), 3):
+                total = sum(t.sign for t in steps if t.axis == axis)
+                steps += [StickType.from_axis_sign(axis, -1 if total > 0 else 1)] * abs(total)
+        turn = rng.randrange(len(steps))
+        steps = steps[turn:] + steps[:turn]
+        types, lengths = [], []
+        for t, run in groupby(steps):
+            left = len(list(run))
+            while left:
+                part = rng.randrange(1, left + 1)
+                types.append(t)
+                lengths.append(part)
+                left -= part
+        yield types, lengths, tuple(rng.randrange(-3, 4) for _ in range(3))
+
+
+# The last stick runs x+ through vertex 0 and the x+ stick from (-2, 0, 0)
+# runs over it, so the first revisit is vertex 0 itself, inside both sticks.
+OVER_VERTEX_0 = ("x+ y+ x- y- x+ y- x- y+ x+", (2, 1, 4, 1, 5, 1, 4, 1, 1))
+
+
+def test_constructor_matches_point_reference_on_random_walks():
+    # every outcome of the stick constructor, from runs and from the corner
+    # list, is the point-by-point constructor's: steps, vertices and sticks,
+    # or the error's class, message, first revisited point and stick pair
+    simple = revisits = 0
+    over = [StickType.parse(t) for t in OVER_VERTEX_0[0].split()], OVER_VERTEX_0[1]
+    walks = [(*over, (0, 0, 0))] + list(_random_walks(random.Random(5), 6000))
+    for types, lengths, origin in walks:
+        steps = _unit_steps(types, lengths)
+        expected = _outcome(lambda: reference_knot(steps, origin))
+        assert _outcome(lambda: LatticeKnot(types, lengths, origin)) == expected
+        corners, point = [], origin
+        for t, length in zip(types, lengths):
+            corners.append(point)
+            point = tuple(c + length * d for c, d in zip(point, t.step))
+        if point == origin and len(corners) >= 3:
+            assert _outcome(lambda: knot_from_vertices(corners)) == expected
+        simple += expected[0] is not SelfIntersection and expected[0] is not NotClosed
+        revisits += expected[0] is SelfIntersection
+    assert simple > 500 and revisits > 4000
+
+
+def test_constructor_matches_point_reference_on_knot_corpora():
+    rng = random.Random(17)
+    cases = [(K.steps, K.origin, K) for K in enumerate_conformations(12)]
+    cases += [(K.steps, K.origin, K) for K in dilated_knots()]
+    cases += [(K.steps, K.origin, K) for K in (random_lattice_knot(rng, 60)
+                                               for _ in range(300))]
+    for p in range(2, 41):
+        tab = generate_torus_tabulation(p)
+        cases.append((_unit_steps(tab.types, tab.stick_lengths()), (0, 0, 0),
+                      build_knot(tab)))
+    for steps, origin, K in cases:
+        expected = reference_knot(steps, origin)
+        assert (K.steps, K.vertices, K.sticks) == expected
+        runs = [(t, len(list(run))) for t, run in groupby(steps)]
+        types, lengths = zip(*runs)
+        assert _outcome(lambda: LatticeKnot(types, lengths, origin)) == expected
+        assert LatticeKnot(types, lengths, origin) == K
+    assert len(cases) > 843 + 300 + 39
+
+
+@pytest.mark.parametrize("max_edge_length", [40, 60])
+def test_random_lattice_knot_matches_recursive_reference(max_edge_length):
+    for seed in range(200):
+        steps = reference_random_steps(random.Random(seed), max_edge_length)
+        K = random_lattice_knot(random.Random(seed), max_edge_length)
+        assert K.steps == tuple(steps), seed
+
+
+def test_random_lattice_knot_reaches_a_thousand_edges():
+    # the recursive search ran out of stack frames near 1,000 steps
+    K = random_lattice_knot(random.Random(475), 1000)
+    assert K.edge_length == 1000
+    assert len(set(K.vertices)) == 1000
 
 
 def test_tabulation_column_validation():

@@ -8,6 +8,7 @@ from latticeknots import (
     DegenerateStick,
     Direction,
     KnotError,
+    LatticeKnot,
     NonReducingMove,
     ReductionError,
     ReductionMove,
@@ -261,11 +262,10 @@ def test_sweep_criterion_stays_quiet_on_reducible_sticks(rectangle):
 
 def test_box_sweep_matches_point_sweep():
     # offset, point and stick pair agree at every limit, past the cap too,
-    # with a fresh plane index per query and with one shared by every query
-    # on the knot, as is_irreducible shares it
+    # on the knot, whose plane index every query shares as is_irreducible
+    # shares it, and on a copy built afresh for each plan
     collisions = 0
     for K in _reduction_corpus():
-        planes = {}
         for idx in range(K.stick_count):
             for direction in Direction:
                 try:
@@ -277,10 +277,11 @@ def test_box_sweep_matches_point_sweep():
                 # the reference sweeps offsets in order, so its answer at a
                 # smaller limit is its first collision if that is within reach
                 first = _first_collision_by_points(K, plan, cap + 2)
+                fresh = LatticeKnot(K.steps, [1] * K.edge_length, K.origin)
                 for limit in range(1, cap + 3):
                     expected = first if first and first[0] <= limit else None
+                    assert _first_collision(fresh, plan, limit) == expected
                     assert _first_collision(K, plan, limit) == expected
-                    assert _first_collision(K, plan, limit, planes) == expected
                     collisions += expected is not None
     assert collisions > 0
 
