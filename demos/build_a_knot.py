@@ -27,8 +27,9 @@ print(trefoil)
 print("sticks:", [(s.type.value, s.length) for s in trefoil.sticks])
 print("vertices visited:", trefoil.edge_length)
 
-# The vertex set is every lattice point on the curve, not just the corners.
-corners = [v for i, v in enumerate(trefoil.vertices) if trefoil.is_critical(i)]
+# The vertex set is every lattice point on the curve; the critical vertices,
+# where it turns, are the starts of its sticks.
+corners = [s.start_point for s in trefoil.sticks]
 print("critical vertices:", corners)
 
 # Tampering with a single column entry breaks the construction: shrinking

@@ -13,6 +13,7 @@ Same or adjacent sticks.  Two vertices on one stick, or on two consecutive
 (hence perpendicular) sticks, are joined by an arc of the knot as long as
 their taxicab distance.  No arc is shorter than the taxicab distance, so
 these pairs have ratio exactly 1, and every knot has distortion at least 1.
+At distortion 1 every vertex pair realizes the value.
 
 Candidates.  Take two non-adjacent sticks A and B and let s in [0, L_A] and
 t in [0, L_B] be positions along them.  The two vertices are distinct
@@ -38,9 +39,9 @@ Buckets of pairs by g are taken in increasing g until (n//2)/g is below the
 best ratio found, each in decreasing cap until cap/g is below it.  Ties are
 visited, since they may hold realizing pairs.
 
-Realizing pairs.  Each vertex is owned by the stick it starts or lies
-inside of, so every vertex pair belongs to exactly one stick pair.  On a
-stick pair that reaches the maximum num/den, the realizing pairs are the
+Realizing pairs.  Above 1, each vertex is owned by the stick it starts or
+lies inside of, so every vertex pair belongs to exactly one stick pair.  On
+a stick pair that reaches the maximum num/den, the realizing pairs are the
 integer points where den * arc - num * d1 = 0.  Fixing the sign of every
 varying taxicab term and the branch of the arc splits the rectangle into
 convex pieces on which that expression is linear.  Its integer zeros on a
@@ -56,8 +57,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 
-from .knot import LatticeKnot, Stick
+from .knot import MAX_POINTS, LatticeKnot, Stick, TooManyPoints
 from .lattice import Point, is_staircase, is_box_corner
+
+
+_REFUSED = f"listing more than {MAX_POINTS} realizing pairs is refused"
 
 
 class PreconditionFailed(ValueError):
@@ -83,8 +87,11 @@ def vertex_distortion(K: LatticeKnot) -> DistortionReport:
     Visits the non-adjacent stick pairs by increasing box gap, takes each
     one's maximum over its candidates until no pair left can reach the best
     value, then enumerates the realizing pairs on the level lines of the
-    stick pairs that reach it (see the module docstring).
-    ``pair_count_scanned`` is n(n-1)/2, the vertex pairs the value covers.
+    stick pairs that reach it (see the module docstring); at value 1 they
+    are all pairs.  Raises TooManyPoints once more than ``MAX_POINTS`` pairs
+    are found, counted before the pairs on edges shared by two pieces are
+    merged.  ``pair_count_scanned`` is n(n-1)/2, the vertex pairs the value
+    covers.
     """
     n = K.edge_length
     half = n // 2
@@ -125,16 +132,15 @@ def vertex_distortion(K: LatticeKnot) -> DistortionReport:
             reached.append((a, b, num, den))
 
     value = Fraction(best_num, best_den)
+    if value == 1:
+        return DistortionReport(value, tuple(combinations(range(n), 2)), n * (n - 1) // 2)
     num, den = value.numerator, value.denominator
     found = []
     for a, b, pair_num, pair_den in reached:
         if pair_num * den == num * pair_den:
             found += _level_pairs(n, sticks[a], sticks[b], num, den)
-    if value == 1:
-        owned = [range(s.start, s.start + s.length) for s in sticks]
-        for a in range(m):
-            found += combinations(owned[a], 2)
-            found += product(owned[a], owned[(a + 1) % m])
+            if len(found) > MAX_POINTS:
+                raise TooManyPoints(_REFUSED)
     pairs = sorted({(min(i % n, j % n), max(i % n, j % n)) for i, j in found})
     return DistortionReport(value, tuple(pairs), n * (n - 1) // 2)
 
@@ -254,16 +260,10 @@ def _level_pairs(
 def _zeros(A: int, B: int, C: int, cons: list) -> list[tuple[int, int]]:
     """Integer (s, t) with A*s + B*t + C == 0 that meet every constraint.
 
-    ``cons`` must bound s and t on both sides.  A == B == 0 == C makes the
-    whole piece a level set, which happens only at ratio 1; the piece is
-    then taken row by row.
+    ``cons`` must bound s and t on both sides, and A and B are not both 0:
+    that happens only at ratio 1, whose pairs are not enumerated here.
+    Raises TooManyPoints, before listing, for a run of over ``MAX_POINTS``.
     """
-    if A == 0 and B == 0:
-        if C:
-            return []
-        s_lo = max(-c for a, b, c in cons if (a, b) == (1, 0))
-        s_hi = min(c for a, b, c in cons if (a, b) == (-1, 0))
-        return [z for s in range(s_lo, s_hi + 1) for z in _zeros(1, 0, -s, cons)]
     g, x, y = _ext_gcd(abs(A), abs(B))
     if C % g:
         return []
@@ -283,7 +283,10 @@ def _zeros(A: int, B: int, C: int, cons: list) -> list[tuple[int, int]]:
             highs.append(val // -coef)
         elif val < 0:
             return []
-    return [(s0 + ds * k, t0 + dt * k) for k in range(max(lows), min(highs) + 1)]
+    low, high = max(lows), min(highs)
+    if high - low >= MAX_POINTS:
+        raise TooManyPoints(_REFUSED)
+    return [(s0 + ds * k, t0 + dt * k) for k in range(low, high + 1)]
 
 
 def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
@@ -327,17 +330,18 @@ def check_distortion_one_structure(K: LatticeKnot) -> DistortionOneReport:
             f"vertex distortion is {report.value}, structure check needs 1"
         )
 
-    points = K.point_set
-    non_corner = tuple(v for v in K.vertices if not is_box_corner(v, points))
+    vertices = K.vertices
+    non_corner = tuple(v for v in vertices if not is_box_corner(v, vertices))
 
-    bad_pairs = []
-    n = K.edge_length
-    for i in range(n // 2):
-        j = K.antipodal_vertex(i)
-        forward = K.arc_between(i, j)
-        backward = K.arc_between(j, i)
-        if not (is_staircase(forward) and is_staircase(backward)):
-            bad_pairs.append((i, j))
+    # the two arcs between i and its antipode j = i + n/2, read off the
+    # cycle listed twice
+    loop = vertices + vertices
+    n, half = K.edge_length, K.edge_length // 2
+    bad_pairs = [
+        (i, i + half)
+        for i in range(half)
+        if not (is_staircase(loop[i:i + half + 1]) and is_staircase(loop[i + half:i + n + 1]))
+    ]
 
     return DistortionOneReport(
         all_vertices_box_corners=not non_corner,

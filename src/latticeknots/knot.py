@@ -3,18 +3,18 @@
 A lattice knot is a closed, simple, axis-parallel polygon in the cubic
 lattice.  It is stored as its sticks, each with its type, length, the index
 of its initial vertex, its end points and its box, and its edge length:
-nothing it keeps at construction grows with the edge length.  Its unit
-steps and its lattice points are built on first request and kept; past
-``MAX_POINTS`` points they are refused.
+nothing it keeps at construction grows with the edge length.  Its lattice
+points are listed on first request and kept; past ``MAX_POINTS`` points
+they are refused.
 
 There is one constructor, from stick types, stick lengths and an origin.
 A tabulation (a cyclic stick-type sequence paired with per-axis columns of
 stick lengths, consumed in order), an explicit cyclic vertex list, the
 census and the random sampler all hand it their runs.  Closure is one
 signed sum per axis; simplicity is tested on sticks, never on points.  A
-built knot answers queries about its points and sticks (critical vertices,
-antipodes, arcs, signed partial sums, the sticks meeting a lattice plane)
-and reads off its canonical tabulation.
+built knot lists its points and answers queries about its sticks (signed
+partial sums, the sticks meeting a lattice plane) and reads off its
+canonical tabulation.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .lattice import AXES, AXIS_NAMES, Point
 
-MAX_POINTS = 2_000_000  # the most points steps and vertices list; see TooManyPoints
+MAX_POINTS = 2_000_000  # the most points or pairs listed; see TooManyPoints
 
 
 class KnotError(Exception):
@@ -59,12 +59,13 @@ class NonAxisParallel(KnotError):
 
 
 class TooManyPoints(ValueError):
-    """Raised by ``steps`` and ``vertices``, before they allocate, past
-    ``MAX_POINTS`` = 2,000,000 lattice points.  Listed points take 112 B
-    each (tracemalloc, Python 3.11, x86-64 Linux); on a 2,000,002-point
-    rectangle an OBJ export peaks at 506 MB of RSS, a vertex CSV at 417 MB,
-    reduce -o at 403 MB and distortion --oracle at 398 MB, so each output
-    that lists points fits a 1 GiB address space up to the limit."""
+    """Raised by ``vertices``, before it allocates, past ``MAX_POINTS`` =
+    2,000,000 lattice points, and by ``vertex_distortion`` past as many
+    realizing pairs.  Listed points take 112 B each (tracemalloc, Python
+    3.11, x86-64 Linux); on a 2,000,002-point rectangle an OBJ export peaks
+    at 506 MB of RSS, a vertex CSV at 417 MB, reduce -o at 403 MB and
+    distortion --oracle at 398 MB, so each output that lists points fits a
+    1 GiB address space up to the limit."""
 
 
 class StickType(enum.Enum):
@@ -232,14 +233,14 @@ class LatticeKnot:
     """A validated closed simple axis-parallel lattice polygon.
 
     Stores ``sticks`` (each carrying its ends and box) and ``edge_length``.
-    ``steps``, ``vertices`` (every lattice point, in traversal order) and
-    the plane index of ``plane`` are built on first use and kept; two
-    threads that race on one build the same value.  Instances are otherwise
-    immutable and safe for concurrent use.  Orientation and starting vertex
-    are part of the value.
+    ``vertices`` (every lattice point, in traversal order; the one listing
+    of its points) and the plane index of ``plane`` are built on first use
+    and kept; two threads that race on one build the same value.  Instances
+    are otherwise immutable and safe for concurrent use.  Orientation and
+    starting vertex are part of the value.
     """
 
-    __slots__ = ("sticks", "edge_length", "_steps", "_vertices", "_planes")
+    __slots__ = ("sticks", "edge_length", "_vertices", "_planes")
 
     def __init__(
         self, types: Iterable[StickType], lengths: Iterable[int], origin: Point = (0, 0, 0)
@@ -294,7 +295,7 @@ class LatticeKnot:
             raise SelfIntersection(*_first_revisit(sticks, owned, hits, n, origin))
         self.sticks = tuple(sticks)
         self.edge_length = n
-        self._steps = self._vertices = self._planes = None
+        self._vertices = self._planes = None
 
     # -- basic queries ------------------------------------------------
 
@@ -309,58 +310,22 @@ class LatticeKnot:
         dx, dy, dz = self.sticks[-1].type.step
         return (x - dx * back, y - dy * back, z - dz * back)
 
-    def _listed(self, per_stick) -> tuple:
-        """``per_stick`` of every stick joined, one item per unit step, from
-        vertex 0 on; refused past ``MAX_POINTS``."""
-        n = self.edge_length
-        if n > MAX_POINTS:
-            raise TooManyPoints(
-                f"the knot has {n} lattice points; listing them is refused past {MAX_POINTS}"
-            )
-        items: list = []
-        for stick in self.sticks:
-            items += per_stick(stick)
-        cut = n - self.sticks[0].start
-        return tuple(items[cut:] + items[:cut] if cut < n else items)
-
-    @property
-    def steps(self) -> tuple[StickType, ...]:
-        """The unit steps from vertex 0."""
-        if self._steps is None:
-            self._steps = self._listed(lambda s: [s.type] * s.length)
-        return self._steps
-
     @property
     def vertices(self) -> tuple[Point, ...]:
-        """Every lattice point, in traversal order from vertex 0."""
+        """Every lattice point, in traversal order from vertex 0; refused
+        past ``MAX_POINTS``."""
         if self._vertices is None:
-            self._vertices = self._listed(_stick_points)
+            n = self.edge_length
+            if n > MAX_POINTS:
+                raise TooManyPoints(
+                    f"the knot has {n} lattice points; listing them is refused past {MAX_POINTS}"
+                )
+            points: list[Point] = []
+            for stick in self.sticks:
+                points += _stick_points(stick)
+            cut = n - self.sticks[0].start
+            self._vertices = tuple(points[cut:] + points[:cut] if cut < n else points)
         return self._vertices
-
-    @property
-    def point_set(self) -> frozenset[Point]:
-        return frozenset(self.vertices)
-
-    def is_critical(self, i: int) -> bool:
-        """True iff vertex ``i`` is an endpoint of a stick (the knot turns there)."""
-        k = i % self.edge_length
-        j = bisect_right(self.sticks, k, key=lambda s: s.start) - 1
-        return j >= 0 and self.sticks[j].start == k
-
-    def antipodal_vertex(self, i: int) -> int:
-        """Index of the vertex at arc distance edge_length/2 from vertex ``i``."""
-        n = self.edge_length
-        if not 0 <= i < n:
-            raise IndexError(f"vertex index {i} out of range")
-        return (i + n // 2) % n
-
-    def arc_between(self, i: int, j: int) -> tuple[Point, ...]:
-        """Vertices from ``i`` forward (in orientation) to ``j``, inclusive."""
-        n = self.edge_length
-        if not (0 <= i < n and 0 <= j < n):
-            raise IndexError(f"vertex indices {i}, {j} out of range")
-        vertices = self.vertices
-        return vertices[i:j + 1] if i <= j else vertices[i:] + vertices[:j + 1]
 
     def plane(self, axis: int, c: int) -> list[tuple[int, Point, Point]]:
         """``(index, lo, hi)`` of each stick whose box meets a plane that

@@ -37,6 +37,17 @@ def knot_distance(K, i: int, j: int) -> int:
     return min(d, n - d)
 
 
+_BY_STEP = {t.step: t for t in StickType}
+
+
+def knot_steps(K) -> tuple:
+    """The unit steps of ``K`` from vertex 0, read off its vertices."""
+    v = K.vertices
+    return tuple(
+        _BY_STEP[tuple(b - a for a, b in zip(p, q))] for p, q in zip(v, v[1:] + v[:1])
+    )
+
+
 def distortion_pair_value(K, i: int, j: int) -> Fraction:
     """The exact distortion ratio of a single vertex pair."""
     if i == j:
@@ -68,6 +79,13 @@ def moved_knot(K, iso=IDENTITY, shift=(0, 0, 0), start=0, reverse=False):
     if reverse:
         points = points[:1] + points[:0:-1]
     return knot_from_vertices(points)
+
+
+def double_loop_corners(L):
+    """The corners of the 10-stick "double loop": its vertex distortion is
+    2L + 3, with L + 4 realizing pairs."""
+    return [(0, 0, 0), (L, 0, 0), (L, 0, 1), (0, 0, 1), (0, 1, 1), (0, 1, 0),
+            (L, 1, 0), (L, 1, 2), (-1, 1, 2), (-1, 0, 2), (-1, 0, 0)]
 
 
 def box(points):

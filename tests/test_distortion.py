@@ -1,7 +1,7 @@
 import random
 from collections import deque
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations
 
 import pytest
 
@@ -19,9 +19,10 @@ from latticeknots import (
 )
 import latticeknots.distortion as distortion
 from latticeknots.distortion import DistortionReport
+from latticeknots.knot import TooManyPoints
 from latticeknots.lattice import l1_distance
 from latticeknots.oracle import _bfs, knot_graph
-from conftest import distortion_pair_value, knot_distance, moved_knot
+from conftest import distortion_pair_value, double_loop_corners, knot_distance, moved_knot
 
 
 def walk_both_ways(K, i, j):
@@ -37,8 +38,9 @@ def walk_both_ways(K, i, j):
 
 def test_knot_distance_examples(trefoil, unit_square):
     assert knot_distance(unit_square, 0, 1) == 1
-    for i in range(trefoil.edge_length):
-        assert knot_distance(trefoil, i, trefoil.antipodal_vertex(i)) == 12
+    n = trefoil.edge_length
+    for i in range(n):
+        assert knot_distance(trefoil, i, (i + n // 2) % n) == 12
         assert knot_distance(trefoil, i, i) == 0
 
     j = trefoil.vertices.index((2, 0, 3))
@@ -281,16 +283,15 @@ def reference_vertex_distortion(K):
         best = max(best, ratio)
         reached.append((a, b, ratio))
 
-    found = []
-    for a, b, ratio in reached:
-        if ratio == best:
-            found += distortion._level_pairs(
-                n, sticks[a], sticks[b], best.numerator, best.denominator)
     if best == 1:
-        owned = [range(s.start, s.start + s.length) for s in sticks]
-        for a in range(m):
-            found += combinations(owned[a], 2)
-            found += product(owned[a], owned[(a + 1) % m])
+        # no arc is shorter than its taxicab distance: every pair realizes 1
+        found = combinations(range(n), 2)
+    else:
+        found = []
+        for a, b, ratio in reached:
+            if ratio == best:
+                found += distortion._level_pairs(
+                    n, sticks[a], sticks[b], best.numerator, best.denominator)
     pairs = sorted({(min(i % n, j % n), max(i % n, j % n)) for i, j in found})
     return DistortionReport(best, tuple(pairs), n * (n - 1) // 2)
 
@@ -320,6 +321,46 @@ def test_kernel_matches_all_pairs_reference():
     for corpus in corpora:
         for K in corpus:
             assert vertex_distortion(K) == reference_vertex_distortion(K), K
+
+
+def test_value_one_realizes_every_pair_as_the_oracle_does():
+    """Where the kernel reads 1, its pairs are all n(n-1)/2 pairs and those
+    of the BFS oracle, which shares no code with the kernel."""
+    corpus = list(enumerate_conformations(10))
+    corpus += [rectangle(a, b) for a in range(1, 9) for b in range(1, 9)]
+    ones = 0
+    for K in corpus:
+        report = vertex_distortion(K)
+        if report.value == 1:
+            n = K.edge_length
+            assert len(report.realizing_pairs) == n * (n - 1) // 2
+            assert report.realizing_pairs == tuple(combinations(range(n), 2))
+            assert (report.value, report.realizing_pairs) == vertex_distortion_oracle(K), K
+            ones += 1
+    # the unit square (in the census and as the 1 x 1 rectangle) and the
+    # cube hexagon
+    assert ones == 3
+
+
+def test_double_loop_value_and_pairs():
+    for L in (3, 10, 40):
+        K = knot_from_vertices(double_loop_corners(L))
+        report = vertex_distortion(K)
+        assert report.value == 2 * L + 3
+        assert len(report.realizing_pairs) == L + 4
+        assert (report.value, report.realizing_pairs) == vertex_distortion_oracle(K)
+
+
+def test_realizing_pairs_past_the_limit_are_refused(monkeypatch):
+    # the double loop at L = 40 has 44 realizing pairs, found 84 times: its
+    # run of 40 is found twice, so the limit counts 84
+    K = knot_from_vertices(double_loop_corners(40))
+    monkeypatch.setattr(distortion, "MAX_POINTS", 84)
+    assert len(vertex_distortion(K).realizing_pairs) == 44
+    for limit in (83, 39):
+        monkeypatch.setattr(distortion, "MAX_POINTS", limit)
+        with pytest.raises(TooManyPoints):
+            vertex_distortion(K)
 
 
 def parallel_staircases(k):

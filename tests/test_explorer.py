@@ -26,7 +26,7 @@ from latticeknots.explorer import (
     _closed_walks,
 )
 from latticeknots.lattice import affine_rank
-from conftest import box, isometry_image, moved_knot
+from conftest import box, isometry_image, knot_steps, moved_knot
 
 # Frozen regression values from the exhaustive backtracking enumeration.
 EXPECTED_COUNTS = {4: 1, 6: 3, 8: 11, 10: 73}
@@ -136,12 +136,12 @@ def test_length_six_classes():
 def test_enumeration_is_isometry_canonical():
     rng = random.Random(5)
     for K in enumerate_conformations(8):
-        reference = canonical_steps(K.steps)
+        reference = canonical_steps(knot_steps(K))
         for _ in range(3):
             iso = rng.choice(ISOMETRIES)
             start = rng.randrange(K.edge_length)
             image = moved_knot(K, iso, start=start, reverse=rng.random() < 0.5)
-            assert canonical_steps(image.steps) == reference
+            assert canonical_steps(knot_steps(image)) == reference
 
 
 def test_canonical_steps_matches_brute_force_on_all_walks():
@@ -198,20 +198,20 @@ def test_canonical_steps_matches_brute_force_on_images():
     knots = [random_lattice_knot(rng, 40) for _ in range(30)]
     knots += [torus_knot(p) for p in range(2, 6)]
     for K in knots:
-        reference = brute_canonical(K.steps)
-        assert canonical_steps(K.steps) == reference
+        reference = brute_canonical(knot_steps(K))
+        assert canonical_steps(knot_steps(K)) == reference
         for _ in range(4):
             iso = rng.choice(ISOMETRIES)
             start = rng.randrange(K.edge_length)
             image = moved_knot(K, iso, start=start, reverse=rng.random() < 0.5)
-            assert canonical_steps(image.steps) == reference
+            assert canonical_steps(knot_steps(image)) == reference
 
 
 def test_orbit_counting_identity():
     """Classes times orbit sizes (96L / |stabiliser|) count rooted polygons."""
     rooted = dict.fromkeys(ROOTED_POLYGONS, 0)
     for K in enumerate_conformations(12):
-        codes = bytes(CODE[t] for t in K.steps)
+        codes = bytes(CODE[t] for t in knot_steps(K))
         stabiliser = sum(1 for image in all_images(codes) if image == codes)
         group_order = 96 * K.edge_length
         assert group_order % stabiliser == 0
@@ -229,7 +229,7 @@ def test_census_at_sixteen_frozen_and_counts_rooted_polygons():
     }
     rooted = Counter()
     for K in knots:
-        codes = bytes(CODE[t] for t in K.steps)
+        codes = bytes(CODE[t] for t in knot_steps(K))
         stabiliser = _candidates(codes).count(codes)
         group_order = 96 * len(codes)
         assert group_order % stabiliser == 0
@@ -247,7 +247,7 @@ def test_conformation_count_at_fourteen_frozen():
 
 def test_enumeration_order_is_length_then_canonical_code():
     keys = [
-        (K.edge_length, canonical_steps(K.steps)) for K in enumerate_conformations(10)
+        (K.edge_length, canonical_steps(knot_steps(K))) for K in enumerate_conformations(10)
     ]
     # lengths never decrease; within a length, codes strictly increase
     assert all(a < b for a, b in zip(keys, keys[1:]))
@@ -258,7 +258,7 @@ def test_enumerated_knots_are_valid_and_deduplicated():
     for K in enumerate_conformations(8):
         assert K.edge_length % 2 == 0
         assert len(set(K.vertices)) == K.edge_length
-        codes = canonical_steps(K.steps)
+        codes = canonical_steps(knot_steps(K))
         assert codes not in seen
         seen.add(codes)
 

@@ -26,6 +26,7 @@ from latticeknots.io import (
     sniff_kind,
 )
 from latticeknots.torus import generate_torus_tabulation
+from conftest import double_loop_corners
 
 SRC = Path(latticeknots.__file__).resolve().parent.parent
 
@@ -350,6 +351,35 @@ def test_cli_refuses_to_list_too_many_points(capsys, tmp_path, monkeypatch, comm
                    f"lattice points; listing them is refused past "
                    f"{latticeknots.knot.MAX_POINTS}\n")
     assert not (tmp_path / "out.csv").exists()
+
+
+def test_cli_refuses_to_list_too_many_realizing_pairs(tmp_path):
+    # about 10**9 realizing pairs: distortion, which always finds them, is
+    # refused before it lists them, under the 1 GiB address-space cap, and
+    # validate still answers from the sticks
+    L = 10**9
+    target = tmp_path / "loop.csv"
+    target.write_text("".join(f"{x},{y},{z}\n" for x, y, z in double_loop_corners(L)))
+    path = filter(None, [str(SRC), os.environ.get("PYTHONPATH")])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    for command, code in ((["validate"], 0), (["distortion"], 2),
+                          (["distortion", "--pairs"], 2)):
+        start = time.perf_counter()
+        result = subprocess.run(
+            [sys.executable, "-m", "latticeknots.cli", command[0], str(target),
+             *command[1:]],
+            env=env, capture_output=True, text=True, timeout=60,
+            preexec_fn=_cap_address_space,
+        )
+        elapsed = time.perf_counter() - start
+        assert result.returncode == code, (command, result.stderr)
+        assert elapsed < 1.0, (command, elapsed)
+        if code:
+            assert result.stdout == ""
+            assert result.stderr == (f"error: listing more than {latticeknots.knot.MAX_POINTS}"
+                                     f" realizing pairs is refused\n")
+        else:
+            assert result.stdout == f"simple, closed, 10 sticks, length {4 * L + 10}\n"
 
 
 # Fuzzed inputs keep every number small: a large coordinate or length is a
@@ -689,7 +719,7 @@ def test_cli_export_json_is_canonical(capsys, tmp_path):
     assert code == 0
     tab, origin, _ = load_tabulation_json(out1)
     rebuilt = build_knot(tab, origin)
-    assert rebuilt.point_set == torus_knot(2).point_set
+    assert frozenset(rebuilt.vertices) == frozenset(torus_knot(2).vertices)
     _, out2, _ = run_cli(capsys, "export", str(source), "--format", "json")
     assert out1 == out2
 

@@ -1,15 +1,9 @@
-import os
 import random
-import resource
-import subprocess
-import sys
 import tracemalloc
 from itertools import groupby
-from pathlib import Path
 
 import pytest
 
-import latticeknots
 from latticeknots import (
     KnotError,
     LatticeKnot,
@@ -25,20 +19,20 @@ from latticeknots import (
     knot_from_vertices,
     random_lattice_knot,
 )
+from latticeknots.io import knot_to_vertex_csv
 from latticeknots.knot import MAX_POINTS, TooManyPoints
 from conftest import (
     TREFOIL_TYPES,
     TREFOIL_X,
     TREFOIL_Y,
     TREFOIL_Z,
+    knot_steps,
     moved_knot,
     reference_knot,
     reference_random_steps,
     trefoil_tabulation,
 )
 from test_distortion import dilated_knots
-
-SRC = Path(latticeknots.__file__).resolve().parent.parent
 
 
 def test_trefoil_builds_closed_and_simple(trefoil):
@@ -100,14 +94,14 @@ def test_self_intersection_before_first_stick_start_is_on_last_stick():
 
 def test_long_rectangle_retains_at_most_150_bytes_per_edge():
     # four sticks and nothing per edge until the points are asked for; then
-    # steps and vertices, and a retained point index would add ~80 B
+    # the vertices, and a retained point index would add ~80 B
     corners = [(0, 0, 0), (100_000, 0, 0), (100_000, 1, 0), (0, 1, 0)]
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
         K = knot_from_vertices(corners)
         built = tracemalloc.get_traced_memory()[0] - before
-        K.steps, K.vertices
+        K.vertices
         listed = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
@@ -123,9 +117,8 @@ def test_points_past_the_limit_are_refused_before_they_are_listed():
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        for name in ("steps", "vertices", "point_set"):
-            with pytest.raises(TooManyPoints, match=f"refused past {MAX_POINTS}"):
-                getattr(K, name)
+        with pytest.raises(TooManyPoints, match=f"refused past {MAX_POINTS}"):
+            K.vertices
         grown = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
@@ -141,7 +134,7 @@ def _outcome(build):
     except KnotError as exc:
         point, pair = getattr(exc, "point", None), getattr(exc, "stick_indices", None)
         return type(exc), str(exc), point, pair
-    return K if isinstance(K, tuple) else (K.steps, K.vertices, K.sticks)
+    return K if isinstance(K, tuple) else (knot_steps(K), K.vertices, K.sticks)
 
 
 def _unit_steps(types, lengths):
@@ -204,17 +197,17 @@ def test_constructor_matches_point_reference_on_random_walks():
 
 def test_constructor_matches_point_reference_on_knot_corpora():
     rng = random.Random(17)
-    cases = [(K.steps, K.origin, K) for K in enumerate_conformations(12)]
-    cases += [(K.steps, K.origin, K) for K in dilated_knots()]
-    cases += [(K.steps, K.origin, K) for K in (random_lattice_knot(rng, 60)
-                                               for _ in range(300))]
+    cases = [(knot_steps(K), K.origin, K) for K in enumerate_conformations(12)]
+    cases += [(knot_steps(K), K.origin, K) for K in dilated_knots()]
+    cases += [(knot_steps(K), K.origin, K)
+              for K in (random_lattice_knot(rng, 60) for _ in range(300))]
     for p in range(2, 41):
         tab = generate_torus_tabulation(p)
         cases.append((_unit_steps(tab.types, tab.stick_lengths()), (0, 0, 0),
                       build_knot(tab)))
     for steps, origin, K in cases:
         expected = reference_knot(steps, origin)
-        assert (K.steps, K.vertices, K.sticks) == expected
+        assert (knot_steps(K), K.vertices, K.sticks) == expected
         runs = [(t, len(list(run))) for t, run in groupby(steps)]
         types, lengths = zip(*runs)
         assert _outcome(lambda: LatticeKnot(types, lengths, origin)) == expected
@@ -227,7 +220,7 @@ def test_random_lattice_knot_matches_recursive_reference(max_edge_length):
     for seed in range(200):
         steps = reference_random_steps(random.Random(seed), max_edge_length)
         K = random_lattice_knot(random.Random(seed), max_edge_length)
-        assert K.steps == tuple(steps), seed
+        assert knot_steps(K) == tuple(steps), seed
 
 
 def test_random_lattice_knot_reaches_a_thousand_edges():
@@ -293,7 +286,7 @@ def test_canonical_tabulation_starts_at_least_critical_vertex(trefoil):
     ]
     assert origin == min(criticals)
     rebuilt = build_knot(tab, origin)
-    assert rebuilt.point_set == trefoil.point_set
+    assert frozenset(rebuilt.vertices) == frozenset(trefoil.vertices)
     assert rebuilt.edge_length == trefoil.edge_length
     # same oriented cycle, just rotated to the canonical starting vertex
     assert rebuilt == moved_knot(trefoil, start=trefoil.vertices.index(origin))
@@ -311,7 +304,7 @@ def test_rebuild_from_canonical_form_is_identity_up_to_rotation():
         tab, origin = relisted.canonical_tabulation()
         rebuilt = build_knot(tab, origin)
         assert rebuilt == moved_knot(K, start=K.vertices.index(origin))
-        assert rebuilt.point_set == K.point_set
+        assert frozenset(rebuilt.vertices) == frozenset(K.vertices)
 
 
 def test_partial_sums_close_to_zero(trefoil):
@@ -326,53 +319,15 @@ def test_partial_sums_from_raw_tabulation():
     assert build_knot(tab, (0, 5, 0)).partial_sums(1) == (6, 4, 7, 5)
 
 
-def test_antipodal_vertex(trefoil, unit_square):
-    assert unit_square.vertices[unit_square.antipodal_vertex(0)] == (1, 1, 0)
-    for i in range(trefoil.edge_length):
-        j = trefoil.antipodal_vertex(i)
-        assert trefoil.antipodal_vertex(j) == i
-    assert trefoil.antipodal_vertex(0) == 12
-    with pytest.raises(IndexError):
-        trefoil.antipodal_vertex(24)
-
-
-def test_arc_between_refuses_indices_out_of_range(trefoil):
-    wrapped = tuple(trefoil.vertices[k] for k in (22, 23, 0, 1))
-    assert trefoil.arc_between(22, 1) == wrapped
-    for i, j in ((-1, 3), (24, 0)):
-        with pytest.raises(IndexError):
-            trefoil.arc_between(i, j)
-    # an end index that the forward walk never meets: run in a child under a
-    # time limit and a 512 MiB address-space cap, so a walk that never ends
-    # fails the test instead of hanging it or filling memory
-    code = (
-        "from latticeknots import torus_knot\n"
-        "for j in (10**6, -1):\n"
-        "    try:\n"
-        "        torus_knot(2).arc_between(0, j)\n"
-        "    except IndexError:\n"
-        "        print('refused', j)\n"
-    )
-    result = subprocess.run(
-        [sys.executable, "-c", code],
-        env={**os.environ, "PYTHONPATH": str(SRC)},
-        capture_output=True,
-        text=True,
-        timeout=30,
-        preexec_fn=_cap_address_space,
-    )
-    refused = ["refused 1000000", "refused -1"]
-    assert result.stdout.splitlines() == refused, result.stderr
-
-
-def _cap_address_space():
-    limit = 512 << 20
-    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
-
-
 def test_critical_flags_count_sticks(trefoil, unit_square):
     for K in (trefoil, unit_square):
-        assert sum(map(K.is_critical, range(K.edge_length))) == K.stick_count
+        # vertex i is critical iff its two neighbours differ along two axes
+        v, n = K.vertices, K.edge_length
+        turns = [i for i in range(n)
+                 if sum(a != b for a, b in zip(v[i - 1], v[(i + 1) % n])) == 2]
+        rows = knot_to_vertex_csv(K).splitlines()[1:]
+        assert [i for i, row in enumerate(rows) if row.endswith(",1")] == turns
+        assert len(rows) == n and len(turns) == K.stick_count
 
 
 def test_signed_stick_sums_vanish_per_axis(trefoil, cube_hexagon):

@@ -44,19 +44,19 @@ def test_certificate_is_independent_of_kernel_and_oracle():
         assert "certificate" not in _import_parts(name)
 
 
-def _public_definitions(tree: ast.Module) -> list[ast.AST]:
+def _public_definitions(tree: ast.Module) -> list[tuple[ast.AST, bool]]:
     """Public top-level functions and classes, and the public methods and
-    properties of public classes."""
+    properties of public classes, each with whether it is such a member."""
     found = []
     for node in tree.body:
         if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             continue
         if node.name.startswith("_"):
             continue
-        found.append(node)
+        found.append((node, False))
         if isinstance(node, ast.ClassDef):
             found += [
-                member
+                (member, True)
                 for member in node.body
                 if isinstance(member, ast.FunctionDef)
                 and not member.name.startswith("_")
@@ -64,22 +64,25 @@ def _public_definitions(tree: ast.Module) -> list[ast.AST]:
     return found
 
 
-def _references(tree: ast.AST) -> Counter[str]:
+def _references(tree: ast.AST, members: bool = False) -> Counter[str]:
     """How often a tree names each name: as a variable, an attribute, an
     imported name or a dotted part of a string constant (perfbench wraps
-    layers by name)."""
+    layers by name).  With ``members``, only the ways a method or property
+    is reached count: an attribute, or a part of a string holding a dot."""
     names: Counter[str] = Counter()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
-            names[node.id] += 1
-        elif isinstance(node, ast.Attribute):
+        if isinstance(node, ast.Attribute):
             names[node.attr] += 1
-        elif isinstance(node, ast.alias):
-            names[node.name.split(".")[-1]] += 1
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
             parts = node.value.split(".")
-            if all(part.isidentifier() for part in parts):
+            if all(part.isidentifier() for part in parts) and not (members and len(parts) == 1):
                 names.update(parts)
+        elif members:
+            continue
+        elif isinstance(node, ast.Name):
+            names[node.id] += 1
+        elif isinstance(node, ast.alias):
+            names[node.name.split(".")[-1]] += 1
     return names
 
 
@@ -87,7 +90,9 @@ def test_every_public_name_has_a_caller():
     # "code with no caller is deleted": a public name that only the tests
     # reach is kept alive by its own tests, so every public function, class,
     # method and property in src/ must be named in src/ outside its own
-    # definition and the package's re-exports, in demos/ or in perfbench/
+    # definition and the package's re-exports, in demos/ or in perfbench/;
+    # a method or property counts as named only through attribute access or
+    # a dotted string, so a local variable of the same name does not count
     modules = {
         path.stem: ast.parse(path.read_text())
         for path in sorted(PACKAGE.glob("*.py"))
@@ -95,11 +100,14 @@ def test_every_public_name_has_a_caller():
     }
     scripts = sorted(ROOT.glob("demos/*.py")) + sorted(ROOT.glob("perfbench/*.py"))
     trees = list(modules.values()) + [ast.parse(p.read_text()) for p in scripts]
-    everywhere = sum(map(_references, trees), Counter())
+    everywhere = {
+        members: sum((_references(tree, members) for tree in trees), Counter())
+        for members in (False, True)
+    }
     uncalled = [
         f"{name}.{node.name}"
         for name, tree in modules.items()
-        for node in _public_definitions(tree)
-        if not (everywhere - _references(node))[node.name]
+        for node, member in _public_definitions(tree)
+        if not (everywhere[member] - _references(node, member))[node.name]
     ]
     assert uncalled == []

@@ -24,7 +24,7 @@ from latticeknots import (
 )
 from latticeknots.lattice import l1_distance
 from latticeknots.reduction import _first_collision, _plan_move, _rebuild, _shift
-from conftest import is_reducible
+from conftest import is_reducible, knot_steps
 
 
 def test_rectangle_shrinks_to_unit_square(rectangle):
@@ -91,7 +91,7 @@ def test_trefoil_specific_collisions():
     # first z-stick, with orientation: the translated closing legs hit the knot
     with pytest.raises(CollisionDetected) as exc:
         apply_reduction(K, ReductionMove(0, Direction.WITH, 1))
-    assert exc.value.point in K.point_set
+    assert exc.value.point in frozenset(K.vertices)
     with pytest.raises(CollisionDetected) as exc:
         apply_reduction(K, ReductionMove(0, Direction.AGAINST, 1))
     assert exc.value.point == (1, 0, 2)
@@ -266,6 +266,7 @@ def test_box_sweep_matches_point_sweep():
     # shares it, and on a copy built afresh for each plan
     collisions = 0
     for K in _reduction_corpus():
+        steps = knot_steps(K)
         for idx in range(K.stick_count):
             for direction in Direction:
                 try:
@@ -277,7 +278,7 @@ def test_box_sweep_matches_point_sweep():
                 # the reference sweeps offsets in order, so its answer at a
                 # smaller limit is its first collision if that is within reach
                 first = _first_collision_by_points(K, plan, cap + 2)
-                fresh = LatticeKnot(K.steps, [1] * K.edge_length, K.origin)
+                fresh = LatticeKnot(steps, [1] * K.edge_length, K.origin)
                 for limit in range(1, cap + 3):
                     expected = first if first and first[0] <= limit else None
                     assert _first_collision(fresh, plan, limit) == expected

@@ -29,7 +29,7 @@ from latticeknots.torus import (
     verify_x_level_2,
     x_level_2_initial_vertex,
 )
-from conftest import TREFOIL_X, TREFOIL_Y, TREFOIL_Z, box, moved_knot
+from conftest import TREFOIL_X, TREFOIL_Y, TREFOIL_Z, box, knot_steps, moved_knot
 
 
 def test_generator_rejects_small_p():
@@ -259,9 +259,10 @@ def reference_x_level_2(p, K):
     initials = []
     y_lengths = []
     shapes_ok = True
+    steps = knot_steps(K)
     for arc in arcs:
         initials.append(K.vertices[arc[0]])
-        moves = [K.steps[i] for i in arc[:-1]]
+        moves = [steps[i] for i in arc[:-1]]
         y_part = [m for m in moves if m.axis == 1]
         z_part = [m for m in moves if m.axis == 2]
         # an L: one maximal y-stick, then one maximal z-stick, nothing else
