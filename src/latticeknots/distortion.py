@@ -43,11 +43,13 @@ Realizing pairs.  Above 1, each vertex is owned by the stick it starts or
 lies inside of, so every vertex pair belongs to exactly one stick pair.  On
 a stick pair that reaches the maximum num/den, the realizing pairs are the
 integer points where den * arc - num * d1 = 0.  Fixing the sign of every
-varying taxicab term and the branch of the arc splits the rectangle into
-convex pieces on which that expression is linear.  Its integer zeros on a
-piece solve one linear Diophantine equation and form a run of consecutive
-parameters.  Enumeration therefore costs what it reports, not the stick
-length.
+taxicab term (at least 0, or at most -1) and the branch of the arc (index
+differences from h*n/2 to (h+1)*n/2 - 1) cuts the owned rectangle into
+half-open convex pieces on which that expression is linear, and each
+vertex pair lies in exactly one piece.  Its integer zeros on a piece solve
+one linear Diophantine equation and form a run of consecutive parameters.
+Each realizing pair is therefore found once, and enumeration costs what it
+reports, not the stick length.
 """
 
 from __future__ import annotations
@@ -56,6 +58,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
+from math import gcd
 
 from .knot import MAX_POINTS, LatticeKnot, Stick, TooManyPoints
 from .lattice import Point, is_staircase, is_box_corner
@@ -84,14 +87,36 @@ class DistortionReport:
 def vertex_distortion(K: LatticeKnot) -> DistortionReport:
     """The exact maximum ratio and every vertex pair attaining it.
 
-    Visits the non-adjacent stick pairs by increasing box gap, takes each
-    one's maximum over its candidates until no pair left can reach the best
-    value, then enumerates the realizing pairs on the level lines of the
-    stick pairs that reach it (see the module docstring); at value 1 they
-    are all pairs.  Raises TooManyPoints once more than ``MAX_POINTS`` pairs
-    are found, counted before the pairs on edges shared by two pieces are
-    merged.  ``pair_count_scanned`` is n(n-1)/2, the vertex pairs the value
-    covers.
+    Takes the value from ``_max_ratio``, then enumerates the realizing
+    pairs on the level lines of the stick pairs that reach it (see the
+    module docstring); at value 1 they are all pairs.  Raises TooManyPoints
+    once more than ``MAX_POINTS`` pairs are found.  ``pair_count_scanned``
+    is n(n-1)/2, the vertex pairs the value covers.
+    """
+    n = K.edge_length
+    value, reached = _max_ratio(K)
+    if value == 1:
+        return DistortionReport(value, tuple(combinations(range(n), 2)), n * (n - 1) // 2)
+    num, den = value.numerator, value.denominator
+    sticks = K.sticks
+    found = []
+    for a, b, pair_num, pair_den in reached:
+        if pair_num * den == num * pair_den:
+            found += _level_pairs(n, sticks[a], sticks[b], num, den)
+            if len(found) > MAX_POINTS:
+                raise TooManyPoints(_REFUSED)
+    # only the last stick's owned indices pass n, and they wrap to below
+    # every index owned by another stick
+    pairs = sorted((i, j) if j < n else (j - n, i) for i, j in found)
+    return DistortionReport(value, tuple(pairs), n * (n - 1) // 2)
+
+
+def _max_ratio(K: LatticeKnot) -> tuple[Fraction, list[tuple[int, int, int, int]]]:
+    """The distortion and the (a, b, num, den) of every stick pair bounded.
+
+    Visits the non-adjacent stick pairs a < b by increasing box gap and
+    takes each one's maximum num/den over its candidates until no pair left
+    can reach the best value (see the module docstring).
     """
     n = K.edge_length
     half = n // 2
@@ -130,19 +155,7 @@ def vertex_distortion(K: LatticeKnot) -> DistortionReport:
             if num * best_den > best_num * den:
                 best_num, best_den = num, den
             reached.append((a, b, num, den))
-
-    value = Fraction(best_num, best_den)
-    if value == 1:
-        return DistortionReport(value, tuple(combinations(range(n), 2)), n * (n - 1) // 2)
-    num, den = value.numerator, value.denominator
-    found = []
-    for a, b, pair_num, pair_den in reached:
-        if pair_num * den == num * pair_den:
-            found += _level_pairs(n, sticks[a], sticks[b], num, den)
-            if len(found) > MAX_POINTS:
-                raise TooManyPoints(_REFUSED)
-    pairs = sorted({(min(i % n, j % n), max(i % n, j % n)) for i, j in found})
-    return DistortionReport(value, tuple(pairs), n * (n - 1) // 2)
+    return Fraction(best_num, best_den), reached
 
 
 def _arc(n: int, d: int) -> int:
@@ -219,36 +232,36 @@ def _level_pairs(
     n: int, A: Stick, B: Stick, num: int, den: int
 ) -> list[tuple[int, int]]:
     """Index pairs (i owned by A, j owned by B) of ratio exactly num/den,
-    where num/den is at least every ratio on the two sticks."""
+    where num/den is at least every ratio on the two sticks; each is found
+    in exactly one piece."""
     a0, la, b0, lb = A.start, A.length, B.start, B.length
     d0 = b0 - a0
     half = n // 2
-    varying = []
-    sign_choices = []
-    fixed = 0
+    # Each constraint (a, b, c) reads a*s + b*t + c >= 0.  Per taxicab
+    # term, its signed forms with the constraints that fix the sign: none if
+    # the term keeps one sign on the owned rectangle, else it is >= 0 on one
+    # piece and <= -1 on the other.
+    choices = []
     for alpha, beta, gamma in _terms(A, B):
-        if not (alpha or beta):
-            fixed += abs(gamma)
-            continue
-        varying.append((alpha, beta, gamma))
-        # a linear term's range over the owned rectangle, from its corners
+        # the term's range over the owned rectangle, from its corners
         low = gamma + min(0, alpha * (la - 1)) + min(0, beta * (lb - 1))
         high = gamma + max(0, alpha * (la - 1)) + max(0, beta * (lb - 1))
-        sign_choices.append((1,) if low >= 0 else (-1,) if high <= 0 else (1, -1))
-    # Each constraint (a, b, c) reads a*s + b*t + c >= 0.
+        plus, minus = (alpha, beta, gamma), (-alpha, -beta, -gamma)
+        choices.append([(plus, [])] if low >= 0 else [(minus, [])] if high <= 0
+                       else [(plus, [plus]), (minus, [(-alpha, -beta, -gamma - 1)])])
     owned = [(1, 0, 0), (-1, 0, la - 1), (0, 1, 0), (0, -1, lb - 1)]
     found = []
     for h in range((d0 - la + 1) // half, (d0 + lb - 1) // half + 1):
-        # On [h*n/2, (h+1)*n/2] the arc is d - h*n/2 for even h and
+        # On h*n/2 <= d < (h+1)*n/2 the arc is d - h*n/2 for even h and
         # (h+1)*n/2 - d for odd h, with d = d0 + t - s.
         sign, offset = (1, -h * half) if h % 2 == 0 else (-1, (h + 1) * half)
-        branch = [(-1, 1, d0 - h * half), (1, -1, (h + 1) * half - d0)]
-        for signs in product(*sign_choices):
+        branch = [(-1, 1, d0 - h * half), (1, -1, (h + 1) * half - d0 - 1)]
+        for picks in product(*choices):
             cons = owned + branch
-            a1, b1, c1 = 0, 0, fixed
-            for sg, (alpha, beta, gamma) in zip(signs, varying):
-                cons.append((sg * alpha, sg * beta, sg * gamma))
-                a1, b1, c1 = a1 + sg * alpha, b1 + sg * beta, c1 + sg * gamma
+            a1, b1, c1 = 0, 0, 0
+            for (alpha, beta, gamma), fix in picks:
+                cons += fix
+                a1, b1, c1 = a1 + alpha, b1 + beta, c1 + gamma
             # den * arc - num * d1 as A*s + B*t + C on this piece
             A = -den * sign - num * a1
             B = den * sign - num * b1
@@ -264,15 +277,17 @@ def _zeros(A: int, B: int, C: int, cons: list) -> list[tuple[int, int]]:
     that happens only at ratio 1, whose pairs are not enumerated here.
     Raises TooManyPoints, before listing, for a run of over ``MAX_POINTS``.
     """
-    g, x, y = _ext_gcd(abs(A), abs(B))
+    g = gcd(A, B)
     if C % g:
         return []
-    q = -C // g
-    s0 = x * q * (1 if A > 0 else -1)
-    t0 = y * q * (1 if B > 0 else -1)
-    ds, dt = B // g, -A // g
-    # (s0 + ds*k, t0 + dt*k) runs over every solution; each constraint
-    # bounds k on one side.
+    # the solutions of -dt*s + ds*t + cg == 0 are (s0 + ds*k, t0 + dt*k)
+    ds, dt, cg = B // g, -A // g, C // g
+    if ds:
+        s0 = cg * pow(dt, -1, abs(ds)) % abs(ds)
+        t0 = (dt * s0 - cg) // ds
+    else:
+        s0, t0 = cg * dt, 0
+    # each constraint bounds k on one side
     lows, highs = [], []
     for a, b, c in cons:
         coef = a * ds + b * dt
@@ -289,34 +304,21 @@ def _zeros(A: int, B: int, C: int, cons: list) -> list[tuple[int, int]]:
     return [(s0 + ds * k, t0 + dt * k) for k in range(low, high + 1)]
 
 
-def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
-    """(g, x, y) with a*x + b*y == g == gcd(a, b), for a, b >= 0."""
-    x0, x1, y0, y1 = 1, 0, 0, 1
-    while b:
-        q = a // b
-        a, b = b, a - q * b
-        x0, x1 = x1, x0 - q * x1
-        y0, y1 = y1, y0 - q * y1
-    return a, x0, y0
-
-
 @dataclass(frozen=True)
 class DistortionOneReport:
     """Outcome of the structural checks available to distortion-one knots.
 
     For such a knot every vertex must be a corner of the minimal bounding
     box and both arcs between any vertex and its antipode must be staircase
-    walks.  Violation lists are empty when the checks pass.
+    walks.  ``ok`` holds when both violation tuples are empty.
     """
 
-    all_vertices_box_corners: bool
     non_corner_vertices: tuple[Point, ...]
-    all_antipodal_arcs_staircase: bool
     non_staircase_pairs: tuple[tuple[int, int], ...]
 
     @property
     def ok(self) -> bool:
-        return self.all_vertices_box_corners and self.all_antipodal_arcs_staircase
+        return not (self.non_corner_vertices or self.non_staircase_pairs)
 
 
 def check_distortion_one_structure(K: LatticeKnot) -> DistortionOneReport:
@@ -324,11 +326,9 @@ def check_distortion_one_structure(K: LatticeKnot) -> DistortionOneReport:
 
     Raises PreconditionFailed when the knot's distortion is not 1.
     """
-    report = vertex_distortion(K)
-    if report.value != 1:
-        raise PreconditionFailed(
-            f"vertex distortion is {report.value}, structure check needs 1"
-        )
+    value, _ = _max_ratio(K)
+    if value != 1:
+        raise PreconditionFailed(f"vertex distortion is {value}, structure check needs 1")
 
     vertices = K.vertices
     non_corner = tuple(v for v in vertices if not is_box_corner(v, vertices))
@@ -343,12 +343,7 @@ def check_distortion_one_structure(K: LatticeKnot) -> DistortionOneReport:
         if not (is_staircase(loop[i:i + half + 1]) and is_staircase(loop[i + half:i + n + 1]))
     ]
 
-    return DistortionOneReport(
-        all_vertices_box_corners=not non_corner,
-        non_corner_vertices=non_corner,
-        all_antipodal_arcs_staircase=not bad_pairs,
-        non_staircase_pairs=tuple(bad_pairs),
-    )
+    return DistortionOneReport(non_corner, tuple(bad_pairs))
 
 
 def format_exact(value: Fraction) -> str:

@@ -1,3 +1,4 @@
+import math
 import random
 from collections import deque
 from fractions import Fraction
@@ -285,7 +286,7 @@ def reference_vertex_distortion(K):
 
     if best == 1:
         # no arc is shorter than its taxicab distance: every pair realizes 1
-        found = combinations(range(n), 2)
+        found = list(combinations(range(n), 2))
     else:
         found = []
         for a, b, ratio in reached:
@@ -293,7 +294,7 @@ def reference_vertex_distortion(K):
                 found += distortion._level_pairs(
                     n, sticks[a], sticks[b], best.numerator, best.denominator)
     pairs = sorted({(min(i % n, j % n), max(i % n, j % n)) for i, j in found})
-    return DistortionReport(best, tuple(pairs), n * (n - 1) // 2)
+    return DistortionReport(best, tuple(pairs), n * (n - 1) // 2), found
 
 
 def rectangle(a, b):
@@ -309,7 +310,9 @@ def dilated_knots():
 
 
 def test_kernel_matches_all_pairs_reference():
-    """Visiting by gap bucket changes no value, realizing pair or count."""
+    """Visiting by gap bucket changes no value, realizing pair or count,
+    and the level pairs of the stick pairs that reach the value hold no
+    pair twice: the pieces are half-open, so each pair lies in one."""
     rng = random.Random(43)
     corpora = [
         enumerate_conformations(12),
@@ -320,7 +323,9 @@ def test_kernel_matches_all_pairs_reference():
     ]
     for corpus in corpora:
         for K in corpus:
-            assert vertex_distortion(K) == reference_vertex_distortion(K), K
+            report, found = reference_vertex_distortion(K)
+            assert vertex_distortion(K) == report, K
+            assert len(found) == len(report.realizing_pairs), K
 
 
 def test_value_one_realizes_every_pair_as_the_oracle_does():
@@ -352,15 +357,86 @@ def test_double_loop_value_and_pairs():
 
 
 def test_realizing_pairs_past_the_limit_are_refused(monkeypatch):
-    # the double loop at L = 40 has 44 realizing pairs, found 84 times: its
-    # run of 40 is found twice, so the limit counts 84
+    # the double loop at L = 40 has 44 realizing pairs, each found once; a
+    # limit of 39 refuses its run of 40 before listing it
     K = knot_from_vertices(double_loop_corners(40))
-    monkeypatch.setattr(distortion, "MAX_POINTS", 84)
+    monkeypatch.setattr(distortion, "MAX_POINTS", 44)
     assert len(vertex_distortion(K).realizing_pairs) == 44
-    for limit in (83, 39):
+    for limit in (43, 39):
         monkeypatch.setattr(distortion, "MAX_POINTS", limit)
         with pytest.raises(TooManyPoints):
             vertex_distortion(K)
+
+
+def test_pairs_on_the_wrapped_indices_of_the_last_stick():
+    """Started inside a stick, a knot's last stick owns indices past n that
+    wrap to 0, 1, ...; realizing pairs on them match the oracle's."""
+    shapes = [knot_from_vertices(double_loop_corners(40)), rectangle(5, 3), rectangle(6, 6)]
+    for K in shapes:
+        for start in (1, 2, 3):
+            M = moved_knot(K, start=start)
+            last = M.sticks[-1]
+            wrapped = last.start + last.length - M.edge_length
+            report = vertex_distortion(M)
+            assert wrapped > 0 and any(i < wrapped for i, _ in report.realizing_pairs)
+            assert (report.value, report.realizing_pairs) == vertex_distortion_oracle(M), M
+
+
+def reference_zeros(A, B, C, cons):
+    """``_zeros`` by the extended Euclidean algorithm, without its refusal."""
+    g, x, y = ext_gcd(abs(A), abs(B))
+    if C % g:
+        return []
+    q = -C // g
+    s0 = x * q * (1 if A > 0 else -1)
+    t0 = y * q * (1 if B > 0 else -1)
+    ds, dt = B // g, -A // g
+    lows, highs = [], []
+    for a, b, c in cons:
+        coef = a * ds + b * dt
+        val = a * s0 + b * t0 + c
+        if coef > 0:
+            lows.append(-(val // coef))
+        elif coef < 0:
+            highs.append(val // -coef)
+        elif val < 0:
+            return []
+    return [(s0 + ds * k, t0 + dt * k) for k in range(max(lows), min(highs) + 1)]
+
+
+def ext_gcd(a, b):
+    """(g, x, y) with a*x + b*y == g == gcd(a, b), for a, b >= 0."""
+    x0, x1, y0, y1 = 1, 0, 0, 1
+    while b:
+        q = a // b
+        a, b = b, a - q * b
+        x0, x1 = x1, x0 - q * x1
+        y0, y1 = y1, y0 - q * y1
+    return a, x0, y0
+
+
+def test_zeros_matches_the_extended_euclid_reference():
+    """Seeded equations on a box with extra constraints, among them A = 0,
+    B = 0, |B / gcd| = 1 and constraint sets no point meets."""
+    rng = random.Random(47)
+    seen = {"A = 0": 0, "B = 0": 0, "|b| = 1": 0, "infeasible": 0, "run": 0}
+    for _ in range(20000):
+        A, B = rng.randint(-9, 9), rng.randint(-9, 9)
+        if not (A or B):
+            continue
+        C = rng.randint(-40, 40)
+        la, lb = rng.randint(1, 12), rng.randint(1, 12)
+        cons = [(1, 0, 0), (-1, 0, la - 1), (0, 1, 0), (0, -1, lb - 1)]
+        cons += [(rng.randint(-2, 2), rng.randint(-2, 2), rng.randint(-12, 12))
+                 for _ in range(rng.randint(0, 3))]
+        zeros = distortion._zeros(A, B, C, cons)
+        assert zeros == reference_zeros(A, B, C, cons), (A, B, C, cons)
+        seen["A = 0"] += A == 0
+        seen["B = 0"] += B == 0
+        seen["|b| = 1"] += abs(B) == math.gcd(A, B)
+        seen["infeasible"] += C % math.gcd(A, B) == 0 and not zeros
+        seen["run"] += len(zeros) > 1
+    assert min(seen.values()) > 100, seen
 
 
 def parallel_staircases(k):
