@@ -6,12 +6,7 @@
 # is recomputed from the built object, never assumed.
 
 from latticeknots import build_knot, generate_torus_tabulation, torus_knot
-from latticeknots.torus import (
-    verify_closure_sums,
-    verify_partial_sums,
-    verify_structure,
-    verify_x_level_2,
-)
+from latticeknots.torus import verify_closure_sums, verify_structure, verify_x_level_2
 
 tab = generate_torus_tabulation(5)
 print("p=5 length columns (x, y, z):")
@@ -28,10 +23,9 @@ print("total length:", sums.total_length, "= 5p^2+3p-2 =", 5 * 25 + 15 - 2)
 
 # Simplicity rests on partial sums: y- and z-levels are hit once each,
 # and only the x-level 2 is revisited.
-partial = verify_partial_sums(5, K)
-print("z partial sums:", partial.z_sums, "-> distinct:", partial.z_all_distinct)
-print("x partial sums:", partial.x_sums, "-> the value 2 appears",
-      partial.x_two_count, "times")
+z_sums, x_sums = K.partial_sums(2), K.partial_sums(0)
+print("z partial sums:", z_sums, "-> distinct:", len(set(z_sums)) == len(z_sums))
+print("x partial sums:", x_sums, "-> the value 2 appears", x_sums.count(2), "times")
 
 # x-level 2 carries p-1 parallel L-shaped arcs stepping down by (0,-1,-1).
 level2 = verify_x_level_2(5, K)

@@ -3,7 +3,6 @@
 from .lattice import (
     ISOMETRIES,
     Point,
-    are_collinear,
     are_coplanar,
     is_box_corner,
     is_staircase,

@@ -73,14 +73,12 @@ def cmd_validate(args: argparse.Namespace) -> int:
     print(f"simple, closed, {K.stick_count} sticks, length {K.edge_length}")
     if torus_p is None:
         return 0
-    # compare sizes first, so that a wrong tag never builds a huge knot;
-    # torus_knot refuses p < 2 as a usage error
-    sizes = (6 * torus_p, edge_length_formula(torus_p))
-    if torus_p < 2 or sizes == (K.stick_count, K.edge_length):
+    # compare sizes first, so that a wrong tag never builds a huge knot
+    if (6 * torus_p, edge_length_formula(torus_p)) == (K.stick_count, K.edge_length):
         family = torus_knot(torus_p)
         if family.canonical_tabulation()[0] == K.canonical_tabulation()[0]:
             report = verify_structure(torus_p, family)
-            verdict = "ok" if report.ok else "FAILED"
+            verdict = "ok" if report.ok else f"FAILED ({', '.join(report.failed)})"
             print(f"torus structure checks (p={torus_p}): {verdict}")
             return 0 if report.ok else CHECK_ERROR
     print(

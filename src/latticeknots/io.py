@@ -74,6 +74,8 @@ def load_tabulation_json(text: str) -> tuple[Tabulation, Point, int | None]:
     torus_p = data.get("torus_p")
     if torus_p is not None and not _is_int(torus_p):
         raise ValueError("'torus_p' must be an integer")
+    if torus_p is not None and torus_p < 2:
+        raise ValueError("'torus_p' must be an integer >= 2")
     tab = Tabulation(tuple(types), (columns[0], columns[1], columns[2]))
     return tab, origin, torus_p
 

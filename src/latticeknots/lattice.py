@@ -103,9 +103,5 @@ def affine_rank(points: Sequence[Point]) -> int:
     return rank
 
 
-def are_collinear(points: Sequence[Point]) -> bool:
-    return affine_rank(points) <= 1
-
-
 def are_coplanar(points: Sequence[Point]) -> bool:
     return affine_rank(points) <= 2

@@ -6,13 +6,15 @@
 length columns follow closed forms with three exceptional final rows.  At
 p = 2 the closed forms reproduce the classic 12-stick trefoil table.
 
-The verification helpers recheck every structural fact the construction
-relies on: closure sums, distinctness of partial sums, the arcs in x-level 2,
-collinearity of critical vertices, and coplanarity of the stick families.
-A fact of the tabulation takes p (``verify_closure_sums``); a fact of the
-knot takes p and the built knot, read from its sticks, so a caller that
-holds the knot never builds it again.  Nothing is assumed from the
-generator; the generic knot validator independently reverifies simplicity.
+``verify_structure(p, K)`` rechecks every structural fact the construction
+relies on, each as one comparison with its closed form: closure sums,
+partial sums, arcs per level and in x-level 2, the critical vertices on the
+diagonal, and coplanarity of the stick families.  Its one report names the
+facts that failed.  A fact of the tabulation takes p
+(``verify_closure_sums``); a fact of the knot is read from the built knot's
+sticks, so a caller that holds the knot never builds it again.  Nothing is
+assumed from the generator; the generic knot validator independently
+reverifies simplicity.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from .knot import (
     Tabulation,
     build_knot,
 )
-from .lattice import Point, are_collinear, are_coplanar
+from .lattice import Point, are_coplanar
 
 _PERIOD = (
     StickType.ZP,
@@ -173,69 +175,6 @@ def expected_x_partial_sums(p: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class PartialSumReport:
-    """Distinctness of per-axis partial sums, which rules out double points.
-
-    The y- and z-sequences must be injective; the x-sequence repeats only
-    the value 2, exactly p - 1 times.
-    """
-
-    p: int
-    x_sums: tuple[int, ...]
-    y_sums: tuple[int, ...]
-    z_sums: tuple[int, ...]
-
-    @property
-    def y_all_distinct(self) -> bool:
-        return len(set(self.y_sums)) == len(self.y_sums)
-
-    @property
-    def z_all_distinct(self) -> bool:
-        return len(set(self.z_sums)) == len(self.z_sums)
-
-    @property
-    def z_sorted_is_range(self) -> bool:
-        return sorted(self.z_sums) == list(range(2 * self.p))
-
-    @property
-    def x_two_count(self) -> int:
-        return sum(1 for v in self.x_sums if v == 2)
-
-    @property
-    def x_others_distinct(self) -> bool:
-        others = [v for v in self.x_sums if v != 2]
-        return len(set(others)) == len(others)
-
-    @property
-    def sequences_match_expected(self) -> bool:
-        return (
-            self.x_sums == expected_x_partial_sums(self.p)
-            and self.y_sums == expected_y_partial_sums(self.p)
-            and self.z_sums == expected_z_partial_sums(self.p)
-        )
-
-    @property
-    def ok(self) -> bool:
-        return (
-            self.y_all_distinct
-            and self.z_all_distinct
-            and self.z_sorted_is_range
-            and self.x_two_count == self.p - 1
-            and self.x_others_distinct
-            and self.sequences_match_expected
-        )
-
-
-def verify_partial_sums(p: int, K: LatticeKnot) -> PartialSumReport:
-    return PartialSumReport(
-        p=p,
-        x_sums=K.partial_sums(0),
-        y_sums=K.partial_sums(1),
-        z_sums=K.partial_sums(2),
-    )
-
-
 def x_level_2_initial_vertex(p: int, n: int) -> Point:
     """Initial critical vertex of the n-th arc in x-level 2 (1-based n).
 
@@ -333,85 +272,17 @@ _COPLANAR_EXCLUDE_LAST = {StickType.YP, StickType.ZM}
 
 
 @dataclass(frozen=True)
-class CollinearityReport:
-    p: int
-    z_plus_initials: tuple[Point, ...]
-    final_three_x_plus_initials: tuple[Point, ...]
-    final_three_x_plus_collinear: bool
-    coplanar_by_type: tuple[tuple[str, bool], ...]
-
-    @property
-    def z_plus_initials_on_diagonal(self) -> bool:
-        return self.z_plus_initials == tuple(
-            (1 - n, 1 - n, n - 1) for n in range(1, len(self.z_plus_initials) + 1)
-        )
-
-    @property
-    def ok(self) -> bool:
-        return (
-            self.z_plus_initials_on_diagonal
-            and len(self.z_plus_initials) == self.p
-            and self.final_three_x_plus_collinear
-            and self.final_three_x_plus_initials
-            == tuple(
-                (n - self.p, n - self.p, self.p + n - 1) for n in (3, 2, 1)
-            )
-            and all(flag for _, flag in self.coplanar_by_type)
-        )
-
-
-def verify_collinearity(p: int, K: LatticeKnot) -> CollinearityReport:
-    if p < 3:
-        raise ValueError("the collinearity analysis needs p >= 3")
-    ends: dict[StickType, list[tuple[Point, Point]]] = {t: [] for t in StickType}
-    for stick in K.sticks:
-        ends[stick.type].append((stick.start_point, stick.end_point))
-
-    z_plus_initials = tuple(start for start, _ in ends[StickType.ZP])
-    final_three = tuple(start for start, _ in ends[StickType.XP][-3:])
-
-    coplanar_flags = []
-    for t in StickType:
-        members = ends[t][:-1] if t in _COPLANAR_EXCLUDE_LAST else ends[t]
-        # a stick spans the same affine hull as its two endpoints
-        points = [q for pair in members for q in pair]
-        coplanar_flags.append((t.value, are_coplanar(points)))
-
-    return CollinearityReport(
-        p=p,
-        z_plus_initials=z_plus_initials,
-        final_three_x_plus_initials=final_three,
-        final_three_x_plus_collinear=are_collinear(list(final_three)),
-        coplanar_by_type=tuple(coplanar_flags),
-    )
-
-
-@dataclass(frozen=True)
 class StructureReport:
-    """Aggregate verdict over every structural check for one family member."""
+    """The structural facts that failed for one family member, in check order."""
 
     p: int
     edge_length: int
     stick_count: int
-    sticks_per_axis: tuple[int, int, int]
-    closure: ClosureSumReport
-    partial: PartialSumReport
-    x_level_2: XLevel2Report | None
-    collinearity: CollinearityReport | None
-    levels_single_arc: bool
+    failed: tuple[str, ...]
 
     @property
     def ok(self) -> bool:
-        return (
-            self.edge_length == edge_length_formula(self.p)
-            and self.stick_count == 6 * self.p
-            and self.sticks_per_axis == (2 * self.p,) * 3
-            and self.closure.ok
-            and self.partial.ok
-            and (self.x_level_2 is None or self.x_level_2.ok)
-            and (self.collinearity is None or self.collinearity.ok)
-            and self.levels_single_arc
-        )
+        return not self.failed
 
 
 def _arc_counts(K: LatticeKnot) -> Counter[tuple[int, int]]:
@@ -435,18 +306,46 @@ def _levels_single_arc(K: LatticeKnot, p: int) -> bool:
 
 
 def verify_structure(p: int, K: LatticeKnot) -> StructureReport:
-    """Every check for family member p on its built knot ``K``, from sticks."""
-    per_axis = tuple(
-        sum(1 for s in K.sticks if s.type.axis == axis) for axis in range(3)
-    )
-    return StructureReport(
-        p=p,
-        edge_length=K.edge_length,
-        stick_count=K.stick_count,
-        sticks_per_axis=per_axis,
-        closure=verify_closure_sums(p),
-        partial=verify_partial_sums(p, K),
-        x_level_2=verify_x_level_2(p, K) if p >= 3 else None,
-        collinearity=verify_collinearity(p, K) if p >= 3 else None,
-        levels_single_arc=_levels_single_arc(K, p),
-    )
+    """Every check for family member p on its built knot ``K``, from sticks.
+
+    Each fact is one comparison with its closed form.  The stick ends are
+    grouped by type once, and the facts are checked in this order: edge
+    length and stick count, closure sums, partial sums, arcs per level, and
+    for p >= 3 x-level 2, the z+ initials on the diagonal (1-n, 1-n, n-1),
+    the last three x+ initials (n-p, n-p, p+n-1) for n = 3, 2, 1, and one
+    coplanarity fact per stick type.  Equality with the closed forms
+    implies the facts that are not checked on their own:
+
+    - 2p sticks per axis: each axis's partial sums hold 2p entries;
+    - injective y and z partial sums, sorted z equal to 0..2p-1, and x
+      repeating only 2, exactly p - 1 times: the closed forms have these
+      properties;
+    - collinear last three x+ initials: their closed forms differ by
+      (1, 1, 1).
+    """
+    ends: dict[StickType, list[tuple[Point, Point]]] = {t: [] for t in StickType}
+    for stick in K.sticks:
+        ends[stick.type].append((stick.start_point, stick.end_point))
+    expected = (expected_x_partial_sums, expected_y_partial_sums, expected_z_partial_sums)
+    facts = {
+        "edge length": K.edge_length == edge_length_formula(p),
+        "stick count": K.stick_count == 6 * p,
+        "closure sums": verify_closure_sums(p).ok,
+        "partial sums": all(K.partial_sums(a) == expected[a](p) for a in range(3)),
+        "arcs per level": _levels_single_arc(K, p),
+    }
+    if p >= 3:
+        facts["x-level 2"] = verify_x_level_2(p, K).ok
+        facts["z+ initials"] = [s for s, _ in ends[StickType.ZP]] == [
+            (1 - n, 1 - n, n - 1) for n in range(1, p + 1)
+        ]
+        facts["last x+ initials"] = [s for s, _ in ends[StickType.XP][-3:]] == [
+            (n - p, n - p, p + n - 1) for n in (3, 2, 1)
+        ]
+        for t in StickType:
+            members = ends[t][:-1] if t in _COPLANAR_EXCLUDE_LAST else ends[t]
+            # a stick spans the same affine hull as its two endpoints
+            points = [q for pair in members for q in pair]
+            facts[f"{t.value} coplanar"] = are_coplanar(points)
+    failed = tuple(name for name, holds in facts.items() if not holds)
+    return StructureReport(p, K.edge_length, K.stick_count, failed)

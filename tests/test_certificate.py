@@ -9,6 +9,7 @@ from latticeknots import (
     torus_knot,
     vertex_distortion,
     vertex_distortion_oracle,
+    verify_structure,
 )
 from latticeknots.certificate import Certificate, _half_shell, certify_distortion
 from test_acceptance import GOLDEN_DISTORTION
@@ -73,7 +74,9 @@ def test_certificate_matches_kernel_on_dilated_knots():
 @pytest.mark.slow
 def test_every_torus_knot_to_p_200_is_certified():
     for p in range(2, 201):
-        assert check_against_kernel(torus_knot(p)), p
+        K = torus_knot(p)
+        assert check_against_kernel(K), p
+        assert verify_structure(p, K).ok, p
 
 
 def test_certificate_equals_bfs_oracle_on_small_torus_knots():

@@ -25,7 +25,7 @@ from latticeknots.io import (
     load_tabulation_json,
     sniff_kind,
 )
-from latticeknots.torus import generate_torus_tabulation
+from latticeknots.torus import generate_torus_tabulation, verify_structure
 from conftest import double_loop_corners
 
 SRC = Path(latticeknots.__file__).resolve().parent.parent
@@ -157,6 +157,22 @@ def test_cli_validate_family_file(capsys, tmp_path, monkeypatch):
     assert built == [5]  # the family member is built once
 
 
+def test_cli_validate_names_the_failed_checks(capsys, tmp_path, monkeypatch):
+    target = tmp_path / "t5.json"
+    run_cli(capsys, "generate", "--p", "5", "-o", str(target))
+    # checked as the next family member, every size and closed form is off
+    monkeypatch.setattr(
+        latticeknots.cli, "verify_structure", lambda p, K: verify_structure(p + 1, K)
+    )
+    code, out, _ = run_cli(capsys, "validate", str(target))
+    assert code == 1
+    assert out == (
+        "simple, closed, 30 sticks, length 138\n"
+        "torus structure checks (p=5): FAILED (edge length, stick count, "
+        "partial sums, arcs per level, x-level 2, z+ initials, last x+ initials)\n"
+    )
+
+
 def test_cli_validate_tampered_table(capsys, tmp_path):
     data = json.loads(TREFOIL_JSON)
     data["lengths"]["z"] = [2, 1, 1, 2]
@@ -217,16 +233,22 @@ SQUARE_FIELDS = (
             "{" + SQUARE_FIELDS + ', "origin": [true, 0, 0]}', id="origin-bool"
         ),
         pytest.param("{" + SQUARE_FIELDS + ', "torus_p": true}', id="torus_p-bool"),
+        # a tag below the family's first member is refused on loading, so
+        # validate prints nothing before it exits
+        pytest.param("{" + SQUARE_FIELDS + ', "torus_p": 1}', id="torus_p-1"),
+        pytest.param("{" + SQUARE_FIELDS + ', "torus_p": 0}', id="torus_p-0"),
+        pytest.param("{" + SQUARE_FIELDS + ', "torus_p": -3}', id="torus_p-minus-3"),
     ],
 )
 def test_cli_rejects_malformed_json_integers(capsys, tmp_path, text):
     target = tmp_path / "bad.json"
     target.write_text(text)
-    code, out, err = run_cli(capsys, "export", str(target), "--format", "csv")
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error: ")
-    assert "Traceback" not in err
+    for command in (("export", str(target), "--format", "csv"), ("validate", str(target))):
+        code, out, err = run_cli(capsys, *command)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
 
 
 def _cap_address_space():

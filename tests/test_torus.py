@@ -1,8 +1,10 @@
 import random
+from collections import Counter
 
 import pytest
 
 from latticeknots import (
+    apply_extension,
     build_knot,
     enumerate_conformations,
     generate_torus_tabulation,
@@ -10,7 +12,8 @@ from latticeknots import (
     torus_knot,
 )
 from latticeknots.knot import StickType
-from latticeknots.lattice import are_coplanar
+from latticeknots.lattice import affine_rank, are_coplanar
+from latticeknots.reduction import Direction
 from latticeknots.torus import (
     ClosureSumReport,
     XLevel2Report,
@@ -23,8 +26,6 @@ from latticeknots.torus import (
     expected_y_partial_sums,
     expected_z_partial_sums,
     verify_closure_sums,
-    verify_collinearity,
-    verify_partial_sums,
     verify_structure,
     verify_x_level_2,
     x_level_2_initial_vertex,
@@ -85,11 +86,11 @@ def test_closure_sums():
 
 
 def test_partial_sums_p5():
-    report = verify_partial_sums(5, torus_knot(5))
-    assert sorted(report.z_sums) == list(range(10))
-    assert sorted(report.y_sums) == list(range(-4, 6))
-    assert report.x_two_count == 4
-    assert report.ok
+    K = torus_knot(5)
+    assert sorted(K.partial_sums(2)) == list(range(10))
+    assert sorted(K.partial_sums(1)) == list(range(-4, 6))
+    assert K.partial_sums(0).count(2) == 4
+    assert verify_structure(5, K).failed == ()
 
 
 def test_partial_sum_sequences_verbatim():
@@ -97,7 +98,29 @@ def test_partial_sum_sequences_verbatim():
     assert expected_z_partial_sums(4) == (7, 1, 6, 2, 5, 3, 4, 0)
     assert expected_x_partial_sums(4) == (2, -1, 2, -2, 2, -3, 1, 0)
     for p in range(2, 10):
-        assert verify_partial_sums(p, torus_knot(p)).sequences_match_expected
+        K = torus_knot(p)
+        assert K.partial_sums(0) == expected_x_partial_sums(p)
+        assert K.partial_sums(1) == expected_y_partial_sums(p)
+        assert K.partial_sums(2) == expected_z_partial_sums(p)
+        assert verify_structure(p, K).failed == ()
+
+
+def test_partial_sum_closed_forms_have_the_lemma_properties():
+    # verify_structure compares with the closed forms alone, so the
+    # distinctness that rules out double points must hold for the forms
+    for p in range(2, 201):
+        x = expected_x_partial_sums(p)
+        y = expected_y_partial_sums(p)
+        z = expected_z_partial_sums(p)
+        assert len(x) == len(y) == len(z) == 2 * p
+        assert len(set(y)) == len(y)
+        assert len(set(z)) == len(z)
+        assert sorted(z) == list(range(2 * p))
+        others = [v for v in x if v != 2]
+        assert len(set(others)) == len(others)
+        assert x.count(2) == p - 1
+        # the closed-form last three x+ initials lie on one line
+        assert affine_rank([(n - p, n - p, p + n - 1) for n in (3, 2, 1)]) <= 1
 
 
 def test_x_level_2_structure():
@@ -131,18 +154,25 @@ def test_x_level_2_shifted_closed_form_does_not_match():
         assert not report.initials_match_shifted_form
 
 
+def stick_starts(K, t):
+    return tuple(s.start_point for s in K.sticks if s.type is t)
+
+
 def test_collinearity_z_plus_initials():
-    report = verify_collinearity(4, torus_knot(4))
-    assert report.z_plus_initials == ((0, 0, 0), (-1, -1, 1), (-2, -2, 2), (-3, -3, 3))
-    assert report.z_plus_initials_on_diagonal
-    assert report.ok
+    K = torus_knot(4)
+    initials = stick_starts(K, StickType.ZP)
+    assert initials == ((0, 0, 0), (-1, -1, 1), (-2, -2, 2), (-3, -3, 3))
+    assert initials == tuple((1 - n, 1 - n, n - 1) for n in range(1, 5))
+    assert verify_structure(4, K).failed == ()
 
 
 def test_final_three_x_plus_sticks():
-    report = verify_collinearity(7, torus_knot(7))
+    K = torus_knot(7)
+    final_three = stick_starts(K, StickType.XP)[-3:]
     # traversal order: third-to-last, penultimate, final
-    assert report.final_three_x_plus_initials == ((-4, -4, 9), (-5, -5, 8), (-6, -6, 7))
-    assert report.final_three_x_plus_collinear
+    assert final_three == ((-4, -4, 9), (-5, -5, 8), (-6, -6, 7))
+    assert affine_rank(final_three) <= 1
+    assert verify_structure(7, K).failed == ()
 
 
 def test_coplanarity_needs_exactly_the_two_exclusions():
@@ -152,14 +182,14 @@ def test_coplanarity_needs_exactly_the_two_exclusions():
         for idx, s in enumerate(K.sticks):
             by_type[s.type].append(idx)
 
-        def family_points(t, drop_last):
+        def family_points(t, drop_last, ends_only=False):
             indices = by_type[t][:-1] if drop_last else by_type[t]
             pts = []
             for i in indices:
                 s = K.sticks[i]
                 pts.extend(
                     tuple(c + k * d for c, d in zip(s.start_point, s.type.step))
-                    for k in range(s.length + 1)
+                    for k in ((0, s.length) if ends_only else range(s.length + 1))
                 )
             return pts
 
@@ -172,10 +202,12 @@ def test_coplanarity_needs_exactly_the_two_exclusions():
         for t in (StickType.XP, StickType.XM, StickType.YM, StickType.ZP):
             assert are_coplanar(family_points(t, False))
         # the verification passes stick endpoints only; all points agree
-        excluded = (StickType.YP, StickType.ZM)
-        assert dict(verify_collinearity(p, K).coplanar_by_type) == {
-            t.value: are_coplanar(family_points(t, t in excluded)) for t in StickType
-        }
+        for t in StickType:
+            for drop_last in (False, True):
+                assert are_coplanar(family_points(t, drop_last, ends_only=True)) == (
+                    are_coplanar(family_points(t, drop_last))
+                )
+        assert verify_structure(p, K).failed == ()
 
 
 def test_stick_counts(unit_square):
@@ -186,11 +218,47 @@ def test_stick_counts(unit_square):
 
 def test_structure_report_ok_through_p10():
     for p in range(2, 11):
-        report = verify_structure(p, torus_knot(p))
+        K = torus_knot(p)
+        report = verify_structure(p, K)
         assert report.ok, f"structure check failed at p={p}: {report}"
+        assert report.failed == ()
         assert report.stick_count == 6 * p
         assert report.edge_length == edge_length_formula(p)
-        assert report.sticks_per_axis == (2 * p, 2 * p, 2 * p)
+        assert Counter(s.type.axis for s in K.sticks) == {0: 2 * p, 1: 2 * p, 2: 2 * p}
+
+
+def test_structure_report_names_the_failed_facts():
+    # torus p = 4 checked as p = 5: every size and every closed form is off
+    # except the closure sums, which depend on p alone, and the coplanarity
+    assert verify_structure(5, torus_knot(4)).failed == (
+        "edge length", "stick count", "partial sums", "arcs per level",
+        "x-level 2", "z+ initials", "last x+ initials",
+    )
+    # a shift along x keeps the sizes and the planes of each stick family
+    shifted = verify_structure(4, moved_knot(torus_knot(4), shift=(1, 0, 0)))
+    assert not shifted.ok
+    assert shifted.failed == (
+        "partial sums", "arcs per level", "x-level 2", "z+ initials", "last x+ initials",
+    )
+    # an extension moves the last stick of two families off their planes,
+    # and only the y+ and z- families drop their last stick
+    extended = apply_extension(torus_knot(4), 0, Direction.WITH, 1)
+    assert verify_structure(4, extended).failed == (
+        "edge length", "partial sums", "z+ initials", "x- coplanar", "y- coplanar",
+    )
+    extended = apply_extension(torus_knot(4), 20, Direction.WITH, 1)
+    assert verify_structure(4, extended).failed == (
+        "edge length", "partial sums", "z+ initials", "last x+ initials",
+        "x+ coplanar", "z+ coplanar",
+    )
+    # the facts about x-level 2, the initials and the planes start at p = 3
+    assert verify_structure(2, torus_knot(3)).failed == (
+        "edge length", "stick count", "partial sums", "arcs per level",
+    )
+    assert verify_structure(3, torus_knot(2)).failed == (
+        "edge length", "stick count", "partial sums", "arcs per level",
+        "x-level 2", "z+ initials", "last x+ initials",
+    )
 
 
 def level(K, axis, value):
