@@ -5,8 +5,8 @@
 # 12-stick trefoil exactly.  Each structural fact the construction relies on
 # is recomputed from the built object, never assumed.
 
-from latticeknots import build_knot, generate_torus_tabulation, torus_knot
-from latticeknots.torus import verify_closure_sums, verify_structure, verify_x_level_2
+from latticeknots import StickType, build_knot, generate_torus_tabulation, torus_knot
+from latticeknots.torus import verify_structure, verify_x_level_2
 
 tab = generate_torus_tabulation(5)
 print("p=5 length columns (x, y, z):")
@@ -17,9 +17,12 @@ K = build_knot(tab)
 print("knot:", K)
 
 # Closure: the six directed sums balance per axis.
-sums = verify_closure_sums(5)
-print("directed sums x/y/z:", sums.x_sums, sums.y_sums, sums.z_sums)
-print("total length:", sums.total_length, "= 5p^2+3p-2 =", 5 * 25 + 15 - 2)
+sums = dict.fromkeys(StickType, 0)
+for t, length in zip(tab.types, tab.stick_lengths()):
+    sums[t] += length
+print("directed sums x/y/z:",
+      *((sums[StickType(a + "+")], sums[StickType(a + "-")]) for a in "xyz"))
+print("total length:", tab.total_length, "= 5p^2+3p-2 =", 5 * 25 + 15 - 2)
 
 # Simplicity rests on partial sums: y- and z-levels are hit once each,
 # and only the x-level 2 is revisited.

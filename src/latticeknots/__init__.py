@@ -26,6 +26,7 @@ from .distortion import (
     DistortionReport,
     PreconditionFailed,
     check_distortion_one_structure,
+    distortion_value,
     format_exact,
     vertex_distortion,
 )

@@ -17,7 +17,7 @@ from collections import Counter
 from pathlib import Path
 
 from .certificate import certify_distortion
-from .distortion import format_exact, vertex_distortion
+from .distortion import distortion_value, format_exact, vertex_distortion
 from .explorer import CENSUS_CAP, classify_distortion_one, enumerate_conformations
 from .io import (
     dump_tabulation_json,
@@ -173,7 +173,7 @@ def cmd_survey(args: argparse.Namespace) -> int:
         if args.even_formulas and p % 2 != 0:
             continue
         K = torus_knot(p)
-        value = vertex_distortion(K).value
+        value = distortion_value(K)
         cells = [str(p), str(K.edge_length), str(K.stick_count), format_exact(value)]
         for formula in (
             distortion_formula_even_small,
@@ -289,8 +289,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--classify",
         action="store_true",
         help="count the distortion-one conformations and check their structure; "
-        "every vertex of one is a corner of its bounding box, so none exists "
-        "past 8 edges, and longer lengths only exercise the distortion kernel",
+        "a conformation is dropped at the first stick pair whose ratio exceeds "
+        "1, and every vertex of a survivor is a corner of its bounding box, so "
+        "none exists past 8 edges",
     )
     p_enu.add_argument("--golden-dir", default=None,
                        help="write each classified knot as a vertex CSV here; "

@@ -37,7 +37,9 @@ Pruning.  A stick pair's cap, the largest arc its index differences allow,
 over the taxicab gap g between the sticks' boxes bounds every ratio on it.
 Buckets of pairs by g are taken in increasing g until (n//2)/g is below the
 best ratio found, each in decreasing cap until cap/g is below it.  Ties are
-visited, since they may hold realizing pairs.
+visited, since they may hold realizing pairs.  The best starts at 1, so a
+knot has distortion above 1 exactly when some visited pair goes above 1, and
+the distortion-one test stops at the first such pair.
 
 Realizing pairs.  Above 1, each vertex is owned by the stick it starts or
 lies inside of, so every vertex pair belongs to exactly one stick pair.  On
@@ -59,6 +61,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 from math import gcd
+from typing import Iterator
 
 from .knot import MAX_POINTS, LatticeKnot, Stick, TooManyPoints
 from .lattice import Point, is_staircase, is_box_corner
@@ -111,12 +114,27 @@ def vertex_distortion(K: LatticeKnot) -> DistortionReport:
     return DistortionReport(value, tuple(pairs), n * (n - 1) // 2)
 
 
+def distortion_value(K: LatticeKnot) -> Fraction:
+    """The exact vertex distortion, without listing its realizing pairs."""
+    return _max_ratio(K)[0]
+
+
 def _max_ratio(K: LatticeKnot) -> tuple[Fraction, list[tuple[int, int, int, int]]]:
-    """The distortion and the (a, b, num, den) of every stick pair bounded.
+    """The distortion and the (a, b, num, den) of every stick pair bounded."""
+    reached = list(_bounded(K))
+    best_num, best_den = 1, 1
+    for _, _, num, den in reached:
+        if num * best_den > best_num * den:
+            best_num, best_den = num, den
+    return Fraction(best_num, best_den), reached
+
+
+def _bounded(K: LatticeKnot) -> Iterator[tuple[int, int, int, int]]:
+    """Yield (a, b, num, den), the maximum num/den of each stick pair bounded.
 
     Visits the non-adjacent stick pairs a < b by increasing box gap and
-    takes each one's maximum num/den over its candidates until no pair left
-    can reach the best value (see the module docstring).
+    bounds each one over its candidates, keeping its own best, until no
+    pair left can reach it (see the module docstring).
     """
     n = K.edge_length
     half = n // 2
@@ -135,10 +153,9 @@ def _max_ratio(K: LatticeKnot) -> tuple[Fraction, list[tuple[int, int, int, int]
             by_gap[gap].append(key)
 
     best_num, best_den = 1, 1
-    reached = []
     for gap in sorted(by_gap):
         if half * best_den < best_num * gap:
-            break
+            return
         bucket = []
         for key in by_gap[gap]:
             a, b = divmod(key, m)
@@ -154,8 +171,7 @@ def _max_ratio(K: LatticeKnot) -> tuple[Fraction, list[tuple[int, int, int, int]
             num, den = _pair_max(n, sticks[a], sticks[b])
             if num * best_den > best_num * den:
                 best_num, best_den = num, den
-            reached.append((a, b, num, den))
-    return Fraction(best_num, best_den), reached
+            yield a, b, num, den
 
 
 def _arc(n: int, d: int) -> int:
@@ -324,11 +340,11 @@ class DistortionOneReport:
 def check_distortion_one_structure(K: LatticeKnot) -> DistortionOneReport:
     """Verify the geometric consequences of having distortion exactly one.
 
-    Raises PreconditionFailed when the knot's distortion is not 1.
+    Raises PreconditionFailed when the knot's distortion is not 1: at the
+    first stick pair the value pass bounds above 1, without the value.
     """
-    value, _ = _max_ratio(K)
-    if value != 1:
-        raise PreconditionFailed(f"vertex distortion is {value}, structure check needs 1")
+    if any(num > den for _, _, num, den in _bounded(K)):
+        raise PreconditionFailed("vertex distortion is above 1, structure check needs 1")
 
     vertices = K.vertices
     non_corner = tuple(v for v in vertices if not is_box_corner(v, vertices))

@@ -25,7 +25,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 from .distortion import (
     PreconditionFailed,
     check_distortion_one_structure,
-    vertex_distortion,
+    distortion_value,
 )
 from .knot import LatticeKnot, StickType
 from .lattice import ISOMETRIES, Point
@@ -83,34 +83,41 @@ def canonical_steps(steps: Sequence[StickType]) -> tuple[int, ...]:
 
 
 def _canonical_codes(codes: bytes) -> bytes:
-    """The least image of ``codes``, over the candidates of ``canonical_steps``."""
-    return min(_candidates(codes))
+    """The least image of ``codes``, over the images of ``canonical_steps``."""
+    return min(_images(codes))
 
 
-def _candidates(codes: bytes) -> list[bytes]:
+def _is_least(codes: bytes) -> bool:
+    """Whether ``codes`` is its own least image: no image is smaller.
+
+    Stops at the first smaller image, so a walk that is not least costs
+    less than its canonical form.
+    """
+    return not any(image < codes for image in _images(codes))
+
+
+def _images(codes: bytes) -> Iterator[bytes]:
     """The images of ``codes`` that ``canonical_steps`` compares, one per
     isometry, orientation and start that can give the least image.
 
-    For a closed walk, the candidates equal to the least image are exactly
-    the images of the symmetries that map it to that image, so their count
-    is the order of its stabiliser.
+    For a closed walk, the images equal to the least image are exactly the
+    images of the symmetries that map it to that image, so their count is
+    the order of its stabiliser.
     """
     n = len(codes)
-    candidates: list[bytes] = []
     for seq in (codes, codes[::-1]):
         starts = [i for i in range(n) if seq[i] != seq[i - 1]]
         if not starts:
-            return [bytes(n)]
+            yield bytes(n)
+            return
         ends = starts[1:] + [starts[0] + n]
         longest = max(end - start for start, end in zip(starts, ends))
         doubled = seq + seq
-        candidates += [
-            doubled[start : start + n].translate(image)
-            for start, end in zip(starts, ends)
-            if end - start == longest
-            for image in _LEAD_IMAGES[seq[start], doubled[end]]
-        ]
-    return candidates
+        for start, end in zip(starts, ends):
+            if end - start == longest:
+                rotated = doubled[start : start + n]
+                for image in _LEAD_IMAGES[seq[start], doubled[end]]:
+                    yield rotated.translate(image)
 
 
 _DX, _DY, _DZ = zip(*(t.step for t in _DIRS))
@@ -132,8 +139,8 @@ def _closed_walks(max_length: int, emit: Callable[[bytes], object]) -> None:
     - its closing step is not x+: the least image starts where a stick
       starts, so its last step differs from its first.
 
-    Every class thus keeps its least image, and the canonical-form dedup
-    afterwards removes the walks that obey the rules without being least.
+    Every class thus keeps its least image; a walk that obeys the rules
+    without being least is left for the caller to reject (``_is_least``).
     A walk ends where it returns to the origin; a search from each opening
     run of k steps stops where the origin is out of reach.
     """
@@ -180,9 +187,12 @@ def enumerate_conformations(max_edge_length: int) -> Iterator[LatticeKnot]:
     """All conformations up to isometry, shortest first, in canonical order.
 
     This is the one census pass: counts and the distortion-one filter read
-    what it yields.  Each emitted knot is built from its canonical step
-    sequence starting at the origin.  The edge-length bound must be even, at
-    least 4, and at most ``CENSUS_CAP``.
+    what it yields.  The walk search emits each walk once and keeps every
+    class's least image, so keeping the walks that are least (rejected at
+    their first smaller image) leaves exactly one walk per class, its
+    canonical step sequence; each knot is built from it starting at the
+    origin.  The edge-length bound must be even, at least 4, and at most
+    ``CENSUS_CAP``.
     """
     if max_edge_length % 2 != 0 or max_edge_length < 4:
         raise ValueError("max_edge_length must be an even integer >= 4")
@@ -191,8 +201,8 @@ def enumerate_conformations(max_edge_length: int) -> Iterator[LatticeKnot]:
             f"max_edge_length {max_edge_length} exceeds the configured cap "
             f"{CENSUS_CAP}"
         )
-    classes: set[bytes] = set()
-    _closed_walks(max_edge_length, lambda walk: classes.add(_canonical_codes(walk)))
+    classes: list[bytes] = []
+    _closed_walks(max_edge_length, lambda walk: _is_least(walk) and classes.append(walk))
     for codes in sorted(classes, key=lambda c: (len(c), c)):
         # unit runs, which the constructor merges into sticks
         yield LatticeKnot(map(_DIRS.__getitem__, codes), repeat(1))
@@ -284,7 +294,7 @@ def search_low_distortion(
     rng = random.Random(seed)
     current = knot
     best = knot
-    best_value = vertex_distortion(knot).value
+    best_value = distortion_value(knot)
     applied = 0
     rejections: Counter[str] = Counter()
     for _ in range(move_budget):
@@ -305,7 +315,7 @@ def search_low_distortion(
             continue
         applied += 1
         current = candidate
-        value = vertex_distortion(current).value
+        value = distortion_value(current)
         if value < best_value:
             best, best_value = current, value
     return SearchResult(best, best_value, applied, dict(rejections))

@@ -6,13 +6,14 @@
 length columns follow closed forms with three exceptional final rows.  At
 p = 2 the closed forms reproduce the classic 12-stick trefoil table.
 
-``verify_structure(p, K)`` rechecks every structural fact the construction
-relies on, each as one comparison with its closed form: closure sums,
-partial sums, arcs per level and in x-level 2, the critical vertices on the
-diagonal, and coplanarity of the stick families.  Its one report names the
-facts that failed.  A fact of the tabulation takes p
-(``verify_closure_sums``); a fact of the knot is read from the built knot's
-sticks, so a caller that holds the knot never builds it again.  Nothing is
+``verify_structure(p, K)`` rechecks every structural fact of the built knot
+that the construction relies on, each as one comparison with its closed
+form: partial sums, arcs per level and in x-level 2, the critical vertices
+on the diagonal, and coplanarity of the stick families.  Its one report
+names the facts that failed.  Each fact is read from the knot's sticks, so a
+caller that holds the knot never builds it again.  The closure sums depend
+on p alone, and the knot constructor refuses any walk that does not close,
+so they are a test of the generator, not a per-knot check.  Nothing else is
 assumed from the generator; the generic knot validator independently
 reverifies simplicity.
 """
@@ -113,42 +114,6 @@ def distortion_formula_even_large(p: int) -> Fraction:
 
 # ---------------------------------------------------------------------------
 # Structure reports
-
-
-@dataclass(frozen=True)
-class ClosureSumReport:
-    """Directed length sums, which must balance for the walk to close."""
-
-    p: int
-    x_sums: tuple[int, int]
-    y_sums: tuple[int, int]
-    z_sums: tuple[int, int]
-    total_length: int
-
-    @property
-    def ok(self) -> bool:
-        p = self.p
-        x_expected = (p * p + 3 * p - 2) // 2
-        return (
-            self.x_sums == (x_expected, x_expected)
-            and self.y_sums == (p * p, p * p)
-            and self.z_sums == (p * p, p * p)
-            and self.total_length == edge_length_formula(p)
-        )
-
-
-def verify_closure_sums(p: int) -> ClosureSumReport:
-    tab = generate_torus_tabulation(p)
-    sums = {t: 0 for t in StickType}
-    for t, length in zip(tab.types, tab.stick_lengths()):
-        sums[t] += length
-    return ClosureSumReport(
-        p=p,
-        x_sums=(sums[StickType.XP], sums[StickType.XM]),
-        y_sums=(sums[StickType.YP], sums[StickType.YM]),
-        z_sums=(sums[StickType.ZP], sums[StickType.ZM]),
-        total_length=tab.total_length,
-    )
 
 
 def expected_y_partial_sums(p: int) -> tuple[int, ...]:
@@ -310,7 +275,7 @@ def verify_structure(p: int, K: LatticeKnot) -> StructureReport:
 
     Each fact is one comparison with its closed form.  The stick ends are
     grouped by type once, and the facts are checked in this order: edge
-    length and stick count, closure sums, partial sums, arcs per level, and
+    length and stick count, partial sums, arcs per level, and
     for p >= 3 x-level 2, the z+ initials on the diagonal (1-n, 1-n, n-1),
     the last three x+ initials (n-p, n-p, p+n-1) for n = 3, 2, 1, and one
     coplanarity fact per stick type.  Equality with the closed forms
@@ -330,7 +295,6 @@ def verify_structure(p: int, K: LatticeKnot) -> StructureReport:
     facts = {
         "edge length": K.edge_length == edge_length_formula(p),
         "stick count": K.stick_count == 6 * p,
-        "closure sums": verify_closure_sums(p).ok,
         "partial sums": all(K.partial_sums(a) == expected[a](p) for a in range(3)),
         "arcs per level": _levels_single_arc(K, p),
     }

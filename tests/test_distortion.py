@@ -146,8 +146,10 @@ def test_structure_check_on_cube_hexagon(cube_hexagon):
 
 
 def test_structure_check_requires_distortion_one(trefoil):
-    with pytest.raises(PreconditionFailed):
-        check_distortion_one_structure(trefoil)
+    long_rectangle = knot_from_vertices([(0, 0, 0), (10**6, 0, 0), (10**6, 1, 0), (0, 1, 0)])
+    for K in (trefoil, long_rectangle):
+        with pytest.raises(PreconditionFailed, match="above 1"):
+            check_distortion_one_structure(K)
 
 
 def test_bfs_oracle_matches_arc_positions():
@@ -325,7 +327,30 @@ def test_kernel_matches_all_pairs_reference():
         for K in corpus:
             report, found = reference_vertex_distortion(K)
             assert vertex_distortion(K) == report, K
+            assert distortion.distortion_value(K) == report.value, K
             assert len(found) == len(report.realizing_pairs), K
+
+
+def test_value_one_test_stops_at_the_same_decision_as_the_value():
+    """The structure check refuses a knot at the first stick pair the value
+    pass bounds above 1; that decides exactly what the value does."""
+    rng = random.Random(47)
+    corpora = [
+        enumerate_conformations(12),
+        [random_lattice_knot(rng, 60) for _ in range(200)],
+        [torus_knot(p) for p in range(2, 9)],
+        dilated_knots(),
+    ]
+    for corpus in corpora:
+        for K in corpus:
+            above = distortion._max_ratio(K)[0] != 1
+            assert any(num > den for *_, num, den in distortion._bounded(K)) == above, K
+            try:
+                check_distortion_one_structure(K)
+            except PreconditionFailed:
+                assert above, K
+            else:
+                assert not above, K
 
 
 def test_value_one_realizes_every_pair_as_the_oracle_does():

@@ -21,9 +21,10 @@ from latticeknots.explorer import (
     _DX,
     _DY,
     _DZ,
-    _candidates,
     _canonical_codes,
     _closed_walks,
+    _images,
+    _is_least,
 )
 from latticeknots.lattice import affine_rank
 from conftest import box, isometry_image, knot_steps, moved_knot
@@ -173,6 +174,16 @@ def test_pruned_walks_include_each_class_least_image():
     assert classes <= set(walks)
 
 
+def test_is_least_agrees_with_the_canonical_form():
+    # the census keeps a walk at its first image that is not smaller; that
+    # must be the same decision as comparing with its least image
+    walks = collect(_closed_walks, 12) + collect(reference_closed_walks, 10)
+    kept = [walk for walk in walks if _is_least(walk)]
+    assert len(kept) == 843 + 88
+    for walk in walks:
+        assert _is_least(walk) == (walk == _canonical_codes(walk))
+
+
 def test_pruned_walks_obey_the_four_rules():
     for walk in collect(_closed_walks, 12):
         runs = [len(list(run)) for _, run in groupby(walk)]
@@ -186,7 +197,7 @@ def test_pruned_walks_obey_the_four_rules():
 
 def test_candidate_count_is_the_stabiliser_order():
     for walk in collect(reference_closed_walks, 10):
-        candidates = _candidates(walk)
+        candidates = list(_images(walk))
         least = min(candidates)
         images = list(all_images(walk))
         assert least == min(images)
@@ -222,7 +233,9 @@ def test_orbit_counting_identity():
 @pytest.mark.slow
 def test_census_at_sixteen_frozen_and_counts_rooted_polygons():
     """Per-length classes at 14 and 16 edges, and orbit counting: each class
-    of length L stands for 96L / |stabiliser| rooted oriented polygons."""
+    of length L stands for 96L / |stabiliser| rooted oriented polygons.
+    The distortion-one classification of the same knots keeps one class at
+    4 edges and one at 6, as it does to 12 edges."""
     knots = list(enumerate_conformations(16))
     assert length_counts(knots) == {
         **EXPECTED_COUNTS, 12: 755, 14: 9760, 16: 143997
@@ -230,13 +243,18 @@ def test_census_at_sixteen_frozen_and_counts_rooted_polygons():
     rooted = Counter()
     for K in knots:
         codes = bytes(CODE[t] for t in knot_steps(K))
-        stabiliser = _candidates(codes).count(codes)
+        stabiliser = list(_images(codes)).count(codes)
         group_order = 96 * len(codes)
         assert group_order % stabiliser == 0
         rooted[len(codes)] += group_order // stabiliser
     assert {length: rooted[length] for length in ROOTED_POLYGONS} == ROOTED_POLYGONS
     assert rooted[14] == 12673920
     assert rooted[16] == 218904768
+    survivors = classify_distortion_one(knots)
+    assert [knot_steps(K) for K in survivors] == [
+        knot_steps(K) for K in classify_distortion_one(enumerate_conformations(6))
+    ]
+    assert [K.edge_length for K in survivors] == [4, 6]
 
 
 def test_conformation_count_at_fourteen_frozen():

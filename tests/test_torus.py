@@ -15,7 +15,6 @@ from latticeknots.knot import StickType
 from latticeknots.lattice import affine_rank, are_coplanar
 from latticeknots.reduction import Direction
 from latticeknots.torus import (
-    ClosureSumReport,
     XLevel2Report,
     _arc_counts,
     distortion_formula_even_large,
@@ -25,7 +24,6 @@ from latticeknots.torus import (
     expected_x_partial_sums,
     expected_y_partial_sums,
     expected_z_partial_sums,
-    verify_closure_sums,
     verify_structure,
     verify_x_level_2,
     x_level_2_initial_vertex,
@@ -68,21 +66,31 @@ def test_type_sequence_periodic_with_period_six():
     assert tab.types[:6] * 7 == tab.types
 
 
-def test_closure_sums():
-    report = verify_closure_sums(4)
-    assert isinstance(report, ClosureSumReport)
-    assert report.x_sums == (13, 13)
-    assert report.y_sums == (16, 16)
-    assert report.z_sums == (16, 16)
-    assert report.total_length == 90
-    assert report.ok
+def directed_sums(p):
+    sums = dict.fromkeys(StickType, 0)
+    tab = generate_torus_tabulation(p)
+    for t, length in zip(tab.types, tab.stick_lengths()):
+        sums[t] += length
+    return sums, tab.total_length
 
-    assert verify_closure_sums(2).total_length == 24 == sum(TREFOIL_X) + sum(
-        TREFOIL_Y
-    ) + sum(TREFOIL_Z)
-    assert verify_closure_sums(7).total_length == 264
-    for p in range(2, 12):
-        assert verify_closure_sums(p).ok
+
+def test_closure_sums():
+    # the directed sums depend on p alone, so they are checked here on the
+    # generator rather than on every verified knot
+    sums, total = directed_sums(4)
+    assert (sums[StickType.XP], sums[StickType.XM]) == (13, 13)
+    assert (sums[StickType.YP], sums[StickType.YM]) == (16, 16)
+    assert (sums[StickType.ZP], sums[StickType.ZM]) == (16, 16)
+    assert total == 90
+    assert directed_sums(2)[1] == 24 == sum(TREFOIL_X) + sum(TREFOIL_Y) + sum(TREFOIL_Z)
+    assert directed_sums(7)[1] == 264
+    for p in range(2, 201):
+        sums, total = directed_sums(p)
+        x = (p * p + 3 * p - 2) // 2
+        assert (sums[StickType.XP], sums[StickType.XM]) == (x, x)
+        assert (sums[StickType.YP], sums[StickType.YM]) == (p * p, p * p)
+        assert (sums[StickType.ZP], sums[StickType.ZM]) == (p * p, p * p)
+        assert total == edge_length_formula(p)
 
 
 def test_partial_sums_p5():
@@ -229,7 +237,7 @@ def test_structure_report_ok_through_p10():
 
 def test_structure_report_names_the_failed_facts():
     # torus p = 4 checked as p = 5: every size and every closed form is off
-    # except the closure sums, which depend on p alone, and the coplanarity
+    # except the coplanarity
     assert verify_structure(5, torus_knot(4)).failed == (
         "edge length", "stick count", "partial sums", "arcs per level",
         "x-level 2", "z+ initials", "last x+ initials",
