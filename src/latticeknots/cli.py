@@ -54,7 +54,8 @@ def _write_output(text: str, path: str | None) -> None:
 
 
 def _load_knot(path: str) -> tuple[LatticeKnot, int | None]:
-    text = Path(path).read_text()
+    # a spreadsheet's "CSV UTF-8" file starts with a byte-order mark
+    text = Path(path).read_text(encoding="utf-8").removeprefix("\ufeff")
     kind = sniff_kind(path, text)
     return load_knot_text(text, kind)
 

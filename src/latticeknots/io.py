@@ -3,12 +3,14 @@
 All writers are deterministic byte-for-byte: fixed key order, fixed field
 order, ``\\n`` newlines.  Readers raise ValueError with a line reference on
 malformed input; knot-level validity problems surface as KnotError from the
-constructors.
+constructors.  A vertex CSV is read as coordinate columns, and the vertex CSV
+and OBJ writers emit one join per stick: per-point work runs in C.
 """
 
 from __future__ import annotations
 
 import json
+from itertools import repeat
 from typing import Any
 
 from .knot import (
@@ -16,7 +18,7 @@ from .knot import (
     StickType,
     Tabulation,
     build_knot,
-    knot_from_vertices,
+    knot_from_columns,
 )
 from .lattice import Point
 
@@ -80,44 +82,80 @@ def load_tabulation_json(text: str) -> tuple[Tabulation, Point, int | None]:
     return tab, origin, torus_p
 
 
+_BLOCK = 1 << 12  # characters of whole lines read at a time; only a block's fields are held
+_PAD = {2: ",", 3: ""}  # by its commas, what makes a row of 3 or 4 fields one of 4
+
+
+def _rows(K: LatticeKnot, head: str, sep: str, flags: tuple[str, str]) -> str:
+    """A line per lattice point from vertex 0, one join per stick piece:
+    ``head``, the coordinates joined by ``sep``, then ``flags[1]`` at a
+    stick's start and ``flags[0]`` elsewhere."""
+    out = []
+    for stick, a, b in K.pieces():
+        x, y, z = p = stick.start_point
+        if a == 0:
+            out.append(f"{head}{x}{sep}{y}{sep}{z}{flags[1]}\n")
+        if (a := max(a, 1)) < b:
+            axis, sign = stick.type.axis, stick.type.sign
+            before = (head, f"{head}{x}{sep}", f"{head}{x}{sep}{y}{sep}")[axis]
+            tail = (f"{sep}{y}{sep}{z}", f"{sep}{z}", "")[axis] + f"{flags[0]}\n"
+            run = map(str, range(p[axis] + sign * a, p[axis] + sign * b, sign))
+            out.append(before + (tail + before).join(run) + tail)
+    return "".join(out)
+
+
 def knot_to_vertex_csv(K: LatticeKnot) -> str:
     """One row per lattice point in cyclic order, critical vertices (the
     stick starts) flagged."""
-    starts = {stick.start for stick in K.sticks}
-    lines = ["x,y,z,critical"]
-    for i, (x, y, z) in enumerate(K.vertices):
-        lines.append(f"{x},{y},{z},{1 if i in starts else 0}")
-    return "\n".join(lines) + "\n"
+    return "x,y,z,critical\n" + _rows(K, "", ",", (",0", ",1"))
+
+
+def _bad_line(text: str) -> ValueError:
+    """The error of the first malformed line, read line by line."""
+    for lineno, line in enumerate(map(str.strip, text.splitlines()), start=1):
+        fields = line.split(",")
+        if not line or (lineno == 1 and line.lower().startswith("x")):
+            continue
+        if len(fields) not in (3, 4):
+            return ValueError(f"line {lineno}: expected 3 or 4 fields, got {len(fields)}")
+        try:
+            list(map(int, fields[:3]))
+        except ValueError:
+            return ValueError(f"line {lineno}: non-integer coordinate")
+    raise AssertionError("no malformed line")
 
 
 def knot_from_vertex_csv(text: str) -> LatticeKnot:
-    """Rebuild a knot from its vertex CSV; the critical column is ignored."""
-    points: list[Point] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        if lineno == 1 and line.lower().startswith("x"):
-            continue
-        fields = line.split(",")
-        if len(fields) not in (3, 4):
-            raise ValueError(f"line {lineno}: expected 3 or 4 fields, got {len(fields)}")
+    """Rebuild a knot from its vertex CSV; the critical column is ignored.
+
+    A block of lines is one join and split of its rows, each padded to 4
+    fields, so that a coordinate column is a slice: no row becomes a list or
+    tuple.  Only a malformed row has the lines read one by one, to name it.
+    """
+    columns: tuple[list[int], list[int], list[int]] = ([], [], [])
+    start = 0
+    while start < len(text):
+        stop = text.find("\n", start + _BLOCK) + 1 or len(text)
+        lines = text[start:stop].splitlines()
+        if start == 0 and lines and lines[0].strip().lower().startswith("x"):
+            del lines[0]
+        rows, start = list(filter(str.strip, lines)), stop
         try:
-            x, y, z = (int(fields[k]) for k in range(3))
-        except ValueError:
-            raise ValueError(f"line {lineno}: non-integer coordinate") from None
-        points.append((x, y, z))
-    if not points:
+            pads = map(_PAD.__getitem__, map(str.count, rows, repeat(",")))
+            fields = ",".join(map(str.__add__, rows, pads)).split(",")
+            for axis, column in enumerate(columns):
+                column += map(int, fields[axis:4 * len(rows):4])
+        except (KeyError, ValueError):  # a row of other than 3 or 4 fields, or a non-integer
+            raise _bad_line(text) from None
+    if not columns[0]:
         raise ValueError("no vertex rows found")
-    return knot_from_vertices(points)
+    return knot_from_columns(*columns)
 
 
 def knot_to_obj(K: LatticeKnot) -> str:
     """OBJ polyline: every lattice point as a vertex, one closed line element."""
-    lines = [f"v {v[0]} {v[1]} {v[2]}" for v in K.vertices]
-    cycle = " ".join(str(i) for i in range(1, K.edge_length + 1))
-    lines.append(f"l {cycle} 1")
-    return "\n".join(lines) + "\n"
+    points = _rows(K, "v ", " ", ("", ""))  # first, to refuse a knot too long to list
+    return f"{points}l {' '.join(map(str, range(1, K.edge_length + 1)))} 1\n"
 
 
 def knot_to_json(K: LatticeKnot, torus_p: int | None = None) -> str:

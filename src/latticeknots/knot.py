@@ -9,8 +9,8 @@ they are refused.
 
 There is one constructor, from stick types, stick lengths and an origin.
 A tabulation (a cyclic stick-type sequence paired with per-axis columns of
-stick lengths, consumed in order), an explicit cyclic vertex list, the
-census and the random sampler all hand it their runs.  Closure is one
+stick lengths, consumed in order), the coordinate columns of a cyclic vertex
+list, the census and the random sampler all hand it their runs.  Closure is one
 signed sum per axis; simplicity is tested on sticks, never on points.  A
 built knot lists its points and answers queries about its sticks (signed
 partial sums, the sticks meeting a lattice plane) and reads off its
@@ -22,7 +22,8 @@ from __future__ import annotations
 import enum
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations, compress
+from operator import add, mul, sub
 from typing import Iterable, Iterator, Sequence
 
 from .lattice import AXES, AXIS_NAMES, Point
@@ -59,13 +60,13 @@ class NonAxisParallel(KnotError):
 
 
 class TooManyPoints(ValueError):
-    """Raised by ``vertices``, before it allocates, past ``MAX_POINTS`` =
-    2,000,000 lattice points, and by ``vertex_distortion`` past as many
-    realizing pairs.  Listed points take 112 B each (tracemalloc, Python
-    3.11, x86-64 Linux); on a 2,000,002-point rectangle an OBJ export peaks
-    at 506 MB of RSS, a vertex CSV at 417 MB, reduce -o at 403 MB and
-    distortion --oracle at 398 MB, so each output that lists points fits a
-    1 GiB address space up to the limit."""
+    """Raised by ``pieces`` (for ``vertices`` and the CSV and OBJ writers), before
+    anything is allocated, past ``MAX_POINTS`` = 2,000,000 lattice points, and by
+    ``vertex_distortion`` past as many realizing pairs.  Listed points take 112 B
+    each (tracemalloc, Python 3.11, x86-64 Linux).  On a 2,000,000-point rectangle
+    distortion --oracle, which lists them, peaks at 398 MB of RSS; the writers,
+    which list none, at 205 MB (OBJ) and 109 MB (export or reduce -o to a vertex
+    CSV); validate reads that CSV in 228 MB: each fits 1 GiB up to the limit."""
 
 
 class StickType(enum.Enum):
@@ -310,21 +311,31 @@ class LatticeKnot:
         dx, dy, dz = self.sticks[-1].type.step
         return (x - dx * back, y - dy * back, z - dz * back)
 
+    def pieces(self) -> list[tuple[Stick, int, int]]:
+        """``(stick, a, b)`` for the points ``a`` to ``b - 1`` steps along each stick
+        from vertex 0: the last stick is two pieces when vertex 0 lies inside it.
+        Refused past ``MAX_POINTS`` points, before any is listed."""
+        if self.edge_length > MAX_POINTS:
+            raise TooManyPoints(f"the knot has {self.edge_length} lattice points; "
+                                f"listing them is refused past {MAX_POINTS}")
+        *sticks, last = self.sticks
+        cut = last.length - self.sticks[0].start
+        head = [(last, cut, last.length)] if cut < last.length else []
+        return head + [(stick, 0, stick.length) for stick in sticks] + [(last, 0, cut)]
+
     @property
     def vertices(self) -> tuple[Point, ...]:
         """Every lattice point, in traversal order from vertex 0; refused
         past ``MAX_POINTS``."""
         if self._vertices is None:
-            n = self.edge_length
-            if n > MAX_POINTS:
-                raise TooManyPoints(
-                    f"the knot has {n} lattice points; listing them is refused past {MAX_POINTS}"
-                )
             points: list[Point] = []
-            for stick in self.sticks:
-                points += _stick_points(stick)
-            cut = n - self.sticks[0].start
-            self._vertices = tuple(points[cut:] + points[:cut] if cut < n else points)
+            for stick, a, b in self.pieces():
+                (x, y, z), axis, sign = stick.start_point, stick.type.axis, stick.type.sign
+                c = stick.start_point[axis]
+                run = range(c + sign * a, c + sign * b, sign)
+                points += ([(v, y, z) for v in run] if axis == 0 else [(x, v, z) for v in run]
+                           if axis == 1 else [(x, y, v) for v in run])
+            self._vertices = tuple(points)
         return self._vertices
 
     def plane(self, axis: int, c: int) -> list[tuple[int, Point, Point]]:
@@ -398,15 +409,6 @@ class LatticeKnot:
         )
 
 
-def _stick_points(stick: Stick) -> list[Point]:
-    """The points a stick owns: its start and interior, not its end."""
-    (x, y, z), axis, sign = stick.start_point, stick.type.axis, stick.type.sign
-    run = range(stick.start_point[axis], stick.end_point[axis], sign)
-    if axis == 0:
-        return [(v, y, z) for v in run]
-    return [(x, v, z) for v in run] if axis == 1 else [(x, y, v) for v in run]
-
-
 def _first_revisit(
     sticks: list[Stick], owned: list[tuple], hits: list[tuple[int, int]], n: int,
     origin: Point,
@@ -451,25 +453,37 @@ def build_knot(tab: Tabulation, origin: Point = (0, 0, 0)) -> LatticeKnot:
 
 
 def knot_from_vertices(cycle: Sequence[Point]) -> LatticeKnot:
-    """Build a knot from a cyclic list of points, one run per segment.
+    """Build a knot from a cyclic list of points, by its coordinate columns.
 
     Consecutive points (cyclically) must differ along exactly one axis.
     Collinear same-direction segments merge into one stick; opposite-direction
     neighbours double back over shared points and fail as self-intersections.
     """
-    if len(cycle) < 3:
+    xs, ys, zs = zip(*cycle) if cycle else ((), (), ())
+    return knot_from_columns(xs, ys, zs)
+
+
+def knot_from_columns(xs: Sequence[int], ys: Sequence[int], zs: Sequence[int]) -> LatticeKnot:
+    """The knot through the points ``(xs[k], ys[k], zs[k])`` in turn.  Maps over the
+    columns take its steps, check that two components of each are 0 (a zero step,
+    whose dot product with the step before is 0, is caught among the stick starts)
+    and start a stick at each step whose dot product with the one before is not
+    positive.  The constructor gets one run per stick."""
+    n, columns = len(xs), (xs, ys, zs)
+    if n < 3:
         raise NotClosed("a vertex cycle needs at least 3 points")
-    types: list[StickType] = []
-    lengths: list[int] = []
-    n = len(cycle)
-    for k in range(n):
-        p = cycle[k]
-        q = cycle[(k + 1) % n]
-        diff = tuple(q[axis] - p[axis] for axis in AXES)
-        nonzero = [axis for axis in AXES if diff[axis] != 0]
-        if len(nonzero) != 1:
-            raise NonAxisParallel(f"{p} -> {q} does not move along exactly one axis")
-        axis = nonzero[0]
-        types.append(StickType.from_axis_sign(axis, 1 if diff[axis] > 0 else -1))
-        lengths.append(abs(diff[axis]))
-    return LatticeKnot(types, lengths, cycle[0])
+    dx, dy, dz = steps = [list(map(sub, c[1:] + c[:1], c)) for c in columns]
+    dots = [map(mul, d, chain(d[-1:], d)) for d in steps]
+    starts = list(compress(range(n), map((1).__gt__, map(add, map(add, *dots[:2]), dots[2]))))
+    zeros = dx.count(0) + dy.count(0) + dz.count(0)
+    if zeros != 2 * n or not all(dx[a] or dy[a] or dz[a] for a in starts):
+        k = next(k for k in range(n) if (dx[k] != 0) + (dy[k] != 0) + (dz[k] != 0) != 1)
+        p, q = ((xs[i], ys[i], zs[i]) for i in (k, (k + 1) % n))
+        raise NonAxisParallel(f"{p} -> {q} does not move along exactly one axis")
+    bounds = [0] + starts if starts[0] else starts
+    types, lengths = [], []
+    for a, b in zip(bounds, bounds[1:] + [0]):
+        column = columns[axis := 0 if dx[a] else 1 if dy[a] else 2]
+        types.append(_BY_AXIS_SIGN[axis, 1 if column[b] > column[a] else -1])
+        lengths.append(abs(column[b] - column[a]))
+    return LatticeKnot(types, lengths, (xs[0], ys[0], zs[0]))

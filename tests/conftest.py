@@ -5,6 +5,8 @@ from fractions import Fraction
 import pytest
 
 from latticeknots import (
+    LatticeKnot,
+    NonAxisParallel,
     NotClosed,
     SelfIntersection,
     Stick,
@@ -172,6 +174,65 @@ def reference_random_steps(rng, max_edge_length=60):
     assert rec()
     return steps
 
+
+def reference_knot_from_vertices(cycle):
+    """The per-point builder that knot_from_vertices was before it took
+    coordinate columns: one step type and length per pair of points."""
+    if len(cycle) < 3:
+        raise NotClosed("a vertex cycle needs at least 3 points")
+    types, lengths = [], []
+    n = len(cycle)
+    for k in range(n):
+        p = cycle[k]
+        q = cycle[(k + 1) % n]
+        diff = tuple(q[axis] - p[axis] for axis in range(3))
+        nonzero = [axis for axis in range(3) if diff[axis] != 0]
+        if len(nonzero) != 1:
+            raise NonAxisParallel(f"{p} -> {q} does not move along exactly one axis")
+        axis = nonzero[0]
+        types.append(StickType.from_axis_sign(axis, 1 if diff[axis] > 0 else -1))
+        lengths.append(abs(diff[axis]))
+    return LatticeKnot(types, lengths, cycle[0])
+
+
+def reference_knot_from_vertex_csv(text):
+    """The per-line vertex CSV reader: one list of fields and one point
+    tuple per row."""
+    points = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        if lineno == 1 and line.lower().startswith("x"):
+            continue
+        fields = line.split(",")
+        if len(fields) not in (3, 4):
+            raise ValueError(f"line {lineno}: expected 3 or 4 fields, got {len(fields)}")
+        try:
+            x, y, z = (int(fields[k]) for k in range(3))
+        except ValueError:
+            raise ValueError(f"line {lineno}: non-integer coordinate") from None
+        points.append((x, y, z))
+    if not points:
+        raise ValueError("no vertex rows found")
+    return reference_knot_from_vertices(points)
+
+
+def reference_knot_to_vertex_csv(K):
+    """The per-point vertex CSV writer: one formatted row per listed point."""
+    starts = {stick.start for stick in K.sticks}
+    lines = ["x,y,z,critical"]
+    for i, (x, y, z) in enumerate(K.vertices):
+        lines.append(f"{x},{y},{z},{1 if i in starts else 0}")
+    return "\n".join(lines) + "\n"
+
+
+def reference_knot_to_obj(K):
+    """The per-point OBJ writer: one formatted vertex line per listed point."""
+    lines = [f"v {v[0]} {v[1]} {v[2]}" for v in K.vertices]
+    cycle = " ".join(str(i) for i in range(1, K.edge_length + 1))
+    lines.append(f"l {cycle} 1")
+    return "\n".join(lines) + "\n"
 
 @pytest.fixture
 def trefoil():

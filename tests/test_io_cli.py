@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import resource
 import subprocess
 import sys
@@ -15,7 +16,18 @@ import latticeknots
 import latticeknots.certificate
 import latticeknots.cli
 import latticeknots.torus
-from latticeknots import Tabulation, build_knot, knot_from_vertices, torus_knot
+from latticeknots import (
+    KnotError,
+    NonAxisParallel,
+    NotClosed,
+    SelfIntersection,
+    Tabulation,
+    build_knot,
+    enumerate_conformations,
+    knot_from_vertices,
+    random_lattice_knot,
+    torus_knot,
+)
 from latticeknots.cli import main
 from latticeknots.io import (
     dump_tabulation_json,
@@ -26,7 +38,14 @@ from latticeknots.io import (
     sniff_kind,
 )
 from latticeknots.torus import generate_torus_tabulation, verify_structure
-from conftest import double_loop_corners
+from conftest import (
+    double_loop_corners,
+    isometry_image,
+    reference_knot_from_vertex_csv,
+    reference_knot_from_vertices,
+    reference_knot_to_obj,
+    reference_knot_to_vertex_csv,
+)
 
 SRC = Path(latticeknots.__file__).resolve().parent.parent
 
@@ -93,6 +112,194 @@ def test_vertex_csv_reports_bad_lines():
         knot_from_vertex_csv("0,0,0\n1,0,0\n1,q,0\n")
     with pytest.raises(ValueError):
         knot_from_vertex_csv("")
+
+
+SQUARE_ROWS = "0,0,0\n1,0,0\n1,1,0\n0,1,0\n"
+
+# (text, exception class, exact message) of every way a vertex CSV fails
+MALFORMED_CSV = [
+    pytest.param("x,y,z\n0,0,0\n1,0\n1,1,0\n0,1,0\n", ValueError,
+                 "line 3: expected 3 or 4 fields, got 2", id="two-fields"),
+    pytest.param("0,0,0\n1,0,0\n1,1,0,1,7\n0,1,0\n", ValueError,
+                 "line 3: expected 3 or 4 fields, got 5", id="five-fields"),
+    pytest.param("0,0,0\n1,0,0\n1,q,0\n0,1,0\n", ValueError,
+                 "line 3: non-integer coordinate", id="non-integer"),
+    pytest.param("0,0,0\n1.0,0,0\n1,1,0\n0,1,0\n", ValueError,
+                 "line 2: non-integer coordinate", id="decimal-point"),
+    pytest.param("0,,0\n1,0,0\n1,1,0\n", ValueError,
+                 "line 1: non-integer coordinate", id="empty-field"),
+    pytest.param("0,0,0\n1,q,0\n1,1\n0,1,0\n", ValueError,
+                 "line 2: non-integer coordinate", id="first-fault-wins"),
+    pytest.param("x,y,z\n\n0,0,0\n  \n1,0,0\n1,1\n", ValueError,
+                 "line 6: expected 3 or 4 fields, got 2", id="blank-lines-counted"),
+    pytest.param("\nx,y,z\n" + SQUARE_ROWS, ValueError,
+                 "line 2: non-integer coordinate", id="header-after-blank-line"),
+    pytest.param("0,0,0\nx,y,z\n1,0,0\n1,1,0\n0,1,0\n", ValueError,
+                 "line 2: non-integer coordinate", id="header-on-line-2"),
+    pytest.param("\ufeffx,y,z\n" + SQUARE_ROWS, ValueError,
+                 "line 1: non-integer coordinate", id="byte-order-mark"),
+    pytest.param("", ValueError, "no vertex rows found", id="empty"),
+    pytest.param("x,y,z,critical\n", ValueError, "no vertex rows found", id="header-only"),
+    pytest.param("\n \n\t\n", ValueError, "no vertex rows found", id="blank-only"),
+    pytest.param("0,0,0\n", NotClosed, "a vertex cycle needs at least 3 points",
+                 id="one-row"),
+    pytest.param("x,y,z\n0,0,0\n1,0,0\n", NotClosed,
+                 "a vertex cycle needs at least 3 points", id="two-rows"),
+    pytest.param("0,0,0\n1,0,0\n1,0,0\n1,1,0\n0,1,0\n", NonAxisParallel,
+                 "(1, 0, 0) -> (1, 0, 0) does not move along exactly one axis",
+                 id="zero-step"),
+    pytest.param("0,0,0\n1,0,0\n0,0,0\n", NonAxisParallel,
+                 "(0, 0, 0) -> (0, 0, 0) does not move along exactly one axis",
+                 id="zero-closing-step"),
+    pytest.param("0,0,0\n1,1,0\n1,0,0\n", NonAxisParallel,
+                 "(0, 0, 0) -> (1, 1, 0) does not move along exactly one axis",
+                 id="diagonal-step"),
+    pytest.param("0,0,0\n1,0,0\n1,1,0\n0,1,1\n", NonAxisParallel,
+                 "(1, 1, 0) -> (0, 1, 1) does not move along exactly one axis",
+                 id="diagonal-closing-pair"),
+    pytest.param("0,0,0\n1,0,0\n2,0,0\n1,0,0\n1,1,0\n0,1,0\n", SelfIntersection,
+                 "self-intersection at (1, 0, 0) between sticks 0 and 2", id="doubling-back"),
+]
+
+# rows the reader accepts, each the unit square
+ACCEPTED_CSV = [
+    pytest.param("x,y,z\r\n0,0,0\r\n1,0,0\r\n1,1,0\r\n0,1,0\r\n", id="crlf"),
+    pytest.param("  X , y , z\n 0 , 0 ,0\n\t1,0 , 0 \n1, 1,0\n0 ,1,0  \n",
+                 id="whitespace-around-fields"),
+    pytest.param("0,0,0,yes\n1,0,0,\n1,1,0,1\n0,1,0, q\n", id="fourth-field-ignored"),
+    pytest.param("\n0,0,0\n\n1,0,0,1\n1,1,0\n\n0,1,0\n\n", id="blank-lines-and-mixed-widths"),
+]
+
+
+@pytest.mark.parametrize("text, error, message", MALFORMED_CSV)
+def test_vertex_csv_malformed_rows_give_exact_messages(capsys, tmp_path, text, error, message):
+    with pytest.raises(error) as raised:
+        knot_from_vertex_csv(text)
+    assert str(raised.value) == message
+    # the command line prints the same message, one line, with its exit code
+    target = tmp_path / "bad.csv"
+    target.write_text(text, encoding="utf-8")
+    code, out, err = run_cli(capsys, "validate", str(target))
+    if text.startswith("\ufeff"):  # the command line reads past a byte-order mark
+        assert (code, out) == (0, "simple, closed, 4 sticks, length 4\n")
+        return
+    assert out == ""
+    if issubclass(error, KnotError):
+        assert (code, err) == (1, f"invalid knot: {message}\n")
+    else:
+        assert (code, err) == (2, f"error: {message}\n")
+
+
+@pytest.mark.parametrize("text", ACCEPTED_CSV)
+def test_vertex_csv_accepted_row_forms(text, unit_square):
+    assert knot_from_vertex_csv(text).sticks == unit_square.sticks
+
+
+def test_cli_reads_files_saved_with_a_byte_order_mark(capsys, tmp_path):
+    csv = tmp_path / "square.csv"
+    csv.write_text("x,y,z\n" + SQUARE_ROWS, encoding="utf-8-sig")
+    assert csv.read_bytes().startswith(b"\xef\xbb\xbf")
+    code, out, err = run_cli(capsys, "validate", str(csv))
+    assert (code, out, err) == (0, "simple, closed, 4 sticks, length 4\n", "")
+    tab = tmp_path / "trefoil.json"
+    tab.write_text(TREFOIL_JSON, encoding="utf-8-sig")
+    code, out, err = run_cli(capsys, "validate", str(tab))
+    assert (code, err) == (0, "")
+    assert out == "simple, closed, 12 sticks, length 24\ntorus structure checks (p=2): ok\n"
+    plain = tmp_path / "plain.json"
+    plain.write_text(TREFOIL_JSON, encoding="utf-8")
+    exports = [run_cli(capsys, "export", str(f), "--format", "json") for f in (tab, plain)]
+    assert exports[0] == exports[1] and exports[0][0] == 0
+
+
+# --- the column reader and stick writers against the per-point references ---
+
+_SIGNED_PERMUTATIONS = [((0, 1, 2), (1, 1, 1)), ((1, 2, 0), (-1, 1, 1)),
+                        ((2, 0, 1), (1, -1, -1)), ((0, 2, 1), (-1, -1, 1))]
+
+
+def _io_corpus():
+    """The census to 10 edges, 300 random knots, torus p = 2..11 and every
+    rectangle to 8 x 8 in each coordinate plane."""
+    rng = random.Random(5)
+    knots = list(enumerate_conformations(10))
+    knots += [random_lattice_knot(rng, 60) for _ in range(300)]
+    knots += [torus_knot(p) for p in range(2, 12)]
+    for perm, signs in _SIGNED_PERMUTATIONS[:3]:
+        for a in range(1, 9):
+            for b in range(1, 9):
+                corners = [(0, 0, 0), (a, 0, 0), (a, b, 0), (0, b, 0)]
+                knots.append(knot_from_vertices(
+                    [isometry_image((perm, signs), c) for c in corners]))
+    return knots
+
+
+def _cycles(knots):
+    """Point cycles of the corpus: each knot's vertices, and for 400 of them
+    a moved copy restarted inside its longest stick, so that vertex 0 lies
+    inside the last stick, reversed every other time, and its corners."""
+    for k, K in enumerate(knots):
+        yield list(K.vertices)
+        if k % 2 == 0 and k < 800:
+            longest = max(K.sticks, key=lambda s: s.length)
+            start = (longest.start + longest.length // 2) % K.edge_length
+            iso = _SIGNED_PERMUTATIONS[k % 4]
+            points = [tuple(c + 3 for c in isometry_image(iso, v))
+                      for v in K.vertices[start:] + K.vertices[:start]]
+            if k % 4 == 2:
+                points = points[:1] + points[:0:-1]
+            yield points
+        yield [K.vertices[s.start] for s in K.sticks]
+
+
+def test_column_builder_and_stick_writers_match_the_per_point_references():
+    knots = _io_corpus()
+    inside = 0
+    for cycle in _cycles(knots):
+        K = knot_from_vertices(cycle)
+        assert K.sticks == reference_knot_from_vertices(cycle).sticks, cycle
+        inside += K.sticks[0].start > 0
+        csv = knot_to_vertex_csv(K)
+        assert csv == reference_knot_to_vertex_csv(K)
+        assert knot_to_obj(K) == reference_knot_to_obj(K)
+        assert knot_from_vertex_csv(csv).sticks == K.sticks
+        three = "".join(f"{x},{y},{z}\n" for x, y, z in cycle)
+        assert knot_from_vertex_csv(three).sticks == reference_knot_from_vertex_csv(three).sticks
+    assert inside >= 300
+
+
+def _outcome(read, text):
+    try:
+        return read(text).sticks
+    except (ValueError, KnotError) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("text", [p.values[0] for p in MALFORMED_CSV + ACCEPTED_CSV])
+def test_vertex_csv_reader_matches_the_per_line_reference(text):
+    assert _outcome(knot_from_vertex_csv, text) == _outcome(reference_knot_from_vertex_csv, text)
+
+
+def test_vertex_csv_reader_past_its_first_block_matches_the_reference():
+    # a header, a malformed row or a blank line on the first line of a later
+    # block of the reader is read as it would be anywhere else
+    text = knot_to_vertex_csv(torus_knot(12))
+    cut = text.index("\n", latticeknots.io._BLOCK) + 1
+    for line in ("x,y,z", "1,2", "  ", "\ufeff0,0,0"):
+        changed = text[:cut] + line + "\n" + text[cut:]
+        assert (_outcome(knot_from_vertex_csv, changed)
+                == _outcome(reference_knot_from_vertex_csv, changed)), line
+    assert _outcome(knot_from_vertex_csv, text) == torus_knot(12).sticks
+
+
+def test_column_builder_names_the_first_bad_pair_as_the_reference_does():
+    square = [(0, 0, 0), (2, 0, 0), (2, 3, 0), (0, 3, 0)]
+    cycles = [square[:k] + [p] + square[k:] for k in range(5)
+              for p in [(1, 1, 1), (2, 0, 0), (0, 3, 0), (5, 5, 0), (1, 0, 0)]]
+    cycles += [square[:2], square[1:], [(0, 0, 0), (4, 0, 0), (0, 0, 0), (0, 1, 0)]]
+    for cycle in cycles:
+        assert (_outcome(knot_from_vertices, cycle)
+                == _outcome(reference_knot_from_vertices, cycle)), cycle
 
 
 def test_obj_export(unit_square):
@@ -402,6 +609,31 @@ def test_cli_refuses_to_list_too_many_realizing_pairs(tmp_path):
                                      f" realizing pairs is refused\n")
         else:
             assert result.stdout == f"simple, closed, 10 sticks, length {4 * L + 10}\n"
+
+
+@pytest.mark.slow
+def test_cli_round_trips_a_rectangle_of_max_points_edges_under_the_address_cap(tmp_path):
+    # an a x 1 rectangle has 2a + 2 edges: listed, written as a vertex CSV,
+    # read back and written as OBJ, each command under the 1 GiB cap
+    n = latticeknots.knot.MAX_POINTS
+    a = n // 2 - 1
+    (tmp_path / "corners.csv").write_text(f"0,0,0\n{a},0,0\n{a},1,0\n0,1,0\n")
+    path = filter(None, [str(SRC), os.environ.get("PYTHONPATH")])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    outputs = []
+    for command in (["export", "corners.csv", "--format", "csv", "-o", "rect.csv"],
+                    ["validate", "rect.csv"],
+                    ["export", "rect.csv", "--format", "obj", "-o", "rect.obj"]):
+        result = subprocess.run(
+            [sys.executable, "-m", "latticeknots.cli", *command], cwd=tmp_path, env=env,
+            capture_output=True, text=True, timeout=120, preexec_fn=_cap_address_space,
+        )
+        assert (result.returncode, result.stderr) == (0, ""), command
+        outputs.append(result.stdout)
+    assert outputs == ["", f"simple, closed, 4 sticks, length {n}\n", ""]
+    csv, obj = (tmp_path / "rect.csv").read_bytes(), (tmp_path / "rect.obj").read_bytes()
+    assert csv.count(b"\n") == n + 1 and csv.count(b",1\n") == 4
+    assert obj.count(b"\nv ") == n - 1 and obj.endswith(f" {n} 1\n".encode())
 
 
 # Fuzzed inputs keep every number small: a large coordinate or length is a
