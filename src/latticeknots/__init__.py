@@ -55,6 +55,7 @@ from .reduction import (
 from .explorer import (
     SearchResult,
     canonical_steps,
+    census_walks,
     classify_distortion_one,
     enumerate_conformations,
     random_lattice_knot,

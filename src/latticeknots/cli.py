@@ -18,7 +18,8 @@ from pathlib import Path
 
 from .certificate import certify_distortion
 from .distortion import distortion_value, format_exact, vertex_distortion
-from .explorer import CENSUS_CAP, classify_distortion_one, enumerate_conformations
+from .explorer import CENSUS_CAP, census_walks
+from .explorer import classify_distortion_one, enumerate_conformations
 from .io import (
     dump_tabulation_json,
     knot_to_json,
@@ -193,13 +194,14 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
         print("error: --golden-dir writes the classified knots; it needs --classify",
               file=sys.stderr)
         return USAGE_ERROR
-    knots = enumerate_conformations(args.max_length)
-    header = "edge_length,conformations"
-    if args.classify:
-        knots = classify_distortion_one(knots)
-        header = "edge_length,distortion_one_count"
     # counted before the header, so that a refused length prints nothing
-    counts = Counter(K.edge_length for K in knots)
+    if args.classify:
+        knots = classify_distortion_one(enumerate_conformations(args.max_length))
+        counts = Counter(K.edge_length for K in knots)
+        header = "edge_length,distortion_one_count"
+    else:
+        counts = Counter(map(len, census_walks(args.max_length)))
+        header = "edge_length,conformations"
     print(header)
     for length in range(4, args.max_length + 1, 2):
         print(f"{length},{counts.get(length, 0)}")

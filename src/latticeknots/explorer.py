@@ -37,7 +37,7 @@ from .reduction import (
     apply_reduction,
 )
 
-# the census grows exponentially with length: ~0.7M candidate walks at 16 edges
+# the census grows exponentially with length: 279,052 walks emitted at 16 edges
 CENSUS_CAP = 16
 
 _ENCODE = {t: i for i, t in enumerate(StickType)}
@@ -128,8 +128,8 @@ def _closed_walks(max_length: int, emit: Callable[[bytes], object]) -> None:
     that could be the least image of its own class, as the depth-first
     search completes it (in search order, not by length; no list is kept).
 
-    The least image that ``_canonical_codes`` picks obeys four rules, so the
-    search prunes every walk that breaks one:
+    The least image that ``_canonical_codes`` picks obeys five rules, so the
+    search prunes every walk, complete or partial, that breaks one:
 
     - it opens with a run of k x+ steps and then y+: the least image starts
       at a longest stick mapped to x+, and the next step maps to y+;
@@ -137,7 +137,13 @@ def _closed_walks(max_length: int, emit: Callable[[bytes], object]) -> None:
     - its first z step is z+: the two images that fix x+ and y+ differ only
       in the sign of z, and z+ has the smaller code;
     - its closing step is not x+: the least image starts where a stick
-      starts, so its last step differs from its first.
+      starts, so its last step differs from its first;
+    - no image from a later stick of length k is smaller on the known
+      steps.  Every completion keeps an ended stick at length k between
+      the same neighbours (no stick merges across the wrap, by the rule
+      above), so ``_images`` yields the same images from it: backward, all
+      known at once; forward, one more step known with each step, so they
+      stay pending until smaller (the subtree is cut) or larger (dropped).
 
     Every class thus keeps its least image; a walk that obeys the rules
     without being least is left for the caller to reject (``_is_least``).
@@ -146,18 +152,21 @@ def _closed_walks(max_length: int, emit: Callable[[bytes], object]) -> None:
     """
     base = 2 * max_length + 1
 
-    def rec(x: int, y: int, z: int, run: int, seen_z: bool) -> None:
+    def rec(x: int, y: int, z: int, run: int, seen_z: bool, pending: list) -> None:
         if x == 0 and y == 0 and z == 0:
             if steps[-1] != 0:
                 emit(bytes(steps))
             return
-        if abs(x) + abs(y) + abs(z) > max_length - len(steps):
-            return
-        key = (x * base + y) * base + z
-        if key in visited:
-            return
-        visited.add(key)
+        n = len(steps)
         last = steps[-1]
+        # a run of k ends at the next step: its backward images are known
+        if run == longest and any(
+            steps[::-1].translate(image) < steps
+            for image in _LEAD_IMAGES[last, steps[n - longest - 1]]
+        ):
+            return
+        key = (x * base + y) * base + z  # unvisited and in reach: the caller checks
+        visited.add(key)
         for code in range(6) if seen_z else range(5):
             if code != last:
                 grown = 1
@@ -165,34 +174,39 @@ def _closed_walks(max_length: int, emit: Callable[[bytes], object]) -> None:
                 grown = run + 1
             else:
                 continue
-            steps.append(code)
-            rec(
-                x + _DX[code],
-                y + _DY[code],
-                z + _DZ[code],
-                grown,
-                seen_z or code == 4,
-            )
-            steps.pop()
+            nx, ny, nz = x + _DX[code], y + _DY[code], z + _DZ[code]
+            if abs(nx) + abs(ny) + abs(nz) >= max_length - n or (
+                (nx * base + ny) * base + nz in visited
+            ):
+                continue
+            ahead = []  # the pending images still equal after this step
+            for start, image in pending:
+                byte, known = image[code], steps[n - start]
+                if byte < known:
+                    break
+                if byte == known:
+                    ahead.append((start, image))
+            else:
+                if grown == 1 and run == longest:
+                    ahead += ((n - longest, image) for image in _LEAD_IMAGES[last, code])
+                steps.append(code)
+                rec(nx, ny, nz, grown, seen_z or code == 4, ahead)
+                steps.pop()
         visited.discard(key)
 
     for longest in range(1, max_length // 2):
-        steps = [0] * longest + [2]
+        steps = bytearray(longest) + b"\2"
         # the keys of (1, 0, 0) .. (longest, 0, 0), the opening run's points
         visited = {i * base * base for i in range(1, longest + 1)}
-        rec(longest, 1, 0, 1, False)
+        rec(longest, 1, 0, 1, False, [])
 
 
-def enumerate_conformations(max_edge_length: int) -> Iterator[LatticeKnot]:
-    """All conformations up to isometry, shortest first, in canonical order.
-
-    This is the one census pass: counts and the distortion-one filter read
-    what it yields.  The walk search emits each walk once and keeps every
-    class's least image, so keeping the walks that are least (rejected at
-    their first smaller image) leaves exactly one walk per class, its
-    canonical step sequence; each knot is built from it starting at the
-    origin.  The edge-length bound must be even, at least 4, and at most
-    ``CENSUS_CAP``.
+def census_walks(max_edge_length: int) -> list[bytes]:
+    """The one census pass: each class's canonical step codes, shortest
+    first, then in code order.  The walk search emits each walk once and
+    keeps every class's least image, so keeping the walks that are least
+    (rejected at their first smaller image) leaves one walk per class.  The
+    edge-length bound must be even, at least 4, and at most ``CENSUS_CAP``.
     """
     if max_edge_length % 2 != 0 or max_edge_length < 4:
         raise ValueError("max_edge_length must be an even integer >= 4")
@@ -203,7 +217,13 @@ def enumerate_conformations(max_edge_length: int) -> Iterator[LatticeKnot]:
         )
     classes: list[bytes] = []
     _closed_walks(max_edge_length, lambda walk: _is_least(walk) and classes.append(walk))
-    for codes in sorted(classes, key=lambda c: (len(c), c)):
+    return sorted(classes, key=lambda c: (len(c), c))
+
+
+def enumerate_conformations(max_edge_length: int) -> Iterator[LatticeKnot]:
+    """All conformations up to isometry, shortest first, in canonical order:
+    a knot from the origin per walk of ``census_walks``, which counts read."""
+    for codes in census_walks(max_edge_length):
         # unit runs, which the constructor merges into sticks
         yield LatticeKnot(map(_DIRS.__getitem__, codes), repeat(1))
 

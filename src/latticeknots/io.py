@@ -82,7 +82,7 @@ def load_tabulation_json(text: str) -> tuple[Tabulation, Point, int | None]:
     return tab, origin, torus_p
 
 
-_BLOCK = 1 << 12  # characters of whole lines read at a time; only a block's fields are held
+_BLOCK = 1 << 12  # characters of whole lines read, or OBJ indices joined, at a time
 _PAD = {2: ",", 3: ""}  # by its commas, what makes a row of 3 or 4 fields one of 4
 
 
@@ -155,7 +155,9 @@ def knot_from_vertex_csv(text: str) -> LatticeKnot:
 def knot_to_obj(K: LatticeKnot) -> str:
     """OBJ polyline: every lattice point as a vertex, one closed line element."""
     points = _rows(K, "v ", " ", ("", ""))  # first, to refuse a knot too long to list
-    return f"{points}l {' '.join(map(str, range(1, K.edge_length + 1)))} 1\n"
+    n = K.edge_length  # the indices joined a block at a time, to hold one block's strings
+    blocks = (range(a, min(a + _BLOCK, n + 1)) for a in range(1, n + 1, _BLOCK))
+    return f"{points}l {' '.join(' '.join(map(str, block)) for block in blocks)} 1\n"
 
 
 def knot_to_json(K: LatticeKnot, torus_p: int | None = None) -> str:

@@ -65,7 +65,7 @@ class TooManyPoints(ValueError):
     ``vertex_distortion`` past as many realizing pairs.  Listed points take 112 B
     each (tracemalloc, Python 3.11, x86-64 Linux).  On a 2,000,000-point rectangle
     distortion --oracle, which lists them, peaks at 398 MB of RSS; the writers,
-    which list none, at 205 MB (OBJ) and 109 MB (export or reduce -o to a vertex
+    which list none, at 110 MB (OBJ) and 109 MB (export or reduce -o to a vertex
     CSV); validate reads that CSV in 228 MB: each fits 1 GiB up to the limit."""
 
 

@@ -9,6 +9,7 @@ from latticeknots import (
     ReductionError,
     StickType,
     canonical_steps,
+    census_walks,
     classify_distortion_one,
     enumerate_conformations,
     random_lattice_knot,
@@ -103,10 +104,52 @@ def reference_closed_walks(max_length: int, emit) -> None:
     rec(1, 0, 0, False, False)
 
 
+def four_rule_closed_walks(max_length: int, emit) -> None:
+    """The census walk search before its cut at partial walks: the first
+    four rules of ``_closed_walks`` and nothing else, so it emits a superset
+    of the pruned search's walks, every least one among them."""
+    base = 2 * max_length + 1
+
+    def rec(x, y, z, run, seen_z):
+        if x == 0 and y == 0 and z == 0:
+            if steps[-1] != 0:
+                emit(bytes(steps))
+            return
+        if abs(x) + abs(y) + abs(z) > max_length - len(steps):
+            return
+        key = (x * base + y) * base + z
+        if key in visited:
+            return
+        visited.add(key)
+        last = steps[-1]
+        for code in range(6) if seen_z else range(5):
+            if code != last:
+                grown = 1
+            elif run < longest:
+                grown = run + 1
+            else:
+                continue
+            steps.append(code)
+            rec(x + _DX[code], y + _DY[code], z + _DZ[code], grown, seen_z or code == 4)
+            steps.pop()
+        visited.discard(key)
+
+    for longest in range(1, max_length // 2):
+        steps = [0] * longest + [2]
+        visited = {i * base * base for i in range(1, longest + 1)}
+        rec(longest, 1, 0, 1, False)
+
+
 def collect(search, max_length: int) -> list[bytes]:
     walks: list[bytes] = []
     search(max_length, walks.append)
     return walks
+
+
+def test_census_walks_are_the_enumerated_knots_steps():
+    walks = census_walks(10)
+    assert walks == [bytes(CODE[t] for t in knot_steps(K)) for K in enumerate_conformations(10)]
+    assert Counter(map(len, walks)) == EXPECTED_COUNTS
 
 
 def test_length_four_is_only_the_unit_square():
@@ -168,10 +211,22 @@ def test_pruned_walks_give_the_reference_classes():
 
 def test_pruned_walks_include_each_class_least_image():
     walks = collect(_closed_walks, 12)
-    assert len(walks) == len(set(walks)) == 3351
+    # 3,351 before the cut at partial walks whose image is smaller
+    assert len(walks) == len(set(walks)) == 1419
     classes = {_canonical_codes(w) for w in walks}
     assert len(classes) == 843
     assert classes <= set(walks)
+
+
+def test_cut_at_partial_walks_drops_only_walks_that_are_not_least():
+    for length in range(4, 13, 2):
+        reference = collect(four_rule_closed_walks, length)
+        walks = collect(_closed_walks, length)
+        assert len(walks) == len(set(walks))
+        assert set(walks) <= set(reference)
+        dropped = set(reference) - set(walks)
+        assert not any(_is_least(walk) for walk in dropped)
+    assert (len(reference), len(walks)) == (3351, 1419)
 
 
 def test_is_least_agrees_with_the_canonical_form():
@@ -288,6 +343,9 @@ def test_enumeration_argument_validation(monkeypatch):
         list(enumerate_conformations(2))
     with pytest.raises(ValueError):
         list(enumerate_conformations(18))  # the cap is 16
+    for length in (2, 5, 18):
+        with pytest.raises(ValueError):
+            census_walks(length)
     monkeypatch.setattr(explorer, "CENSUS_CAP", 4)
     assert 4 in length_counts(enumerate_conformations(4))
     with pytest.raises(ValueError, match="exceeds the configured cap 4"):

@@ -292,6 +292,16 @@ def test_vertex_csv_reader_past_its_first_block_matches_the_reference():
     assert _outcome(knot_from_vertex_csv, text) == torus_knot(12).sticks
 
 
+def test_obj_writer_past_its_first_block_of_indices_matches_the_reference():
+    # the closing line's indices are joined a block at a time
+    block = latticeknots.io._BLOCK
+    for n in (block - 2, block, block + 2, 2 * block, 2 * block + 2, 3 * block + 4):
+        a = n // 2 - 1
+        K = knot_from_vertices([(0, 0, 0), (a, 0, 0), (a, 1, 0), (0, 1, 0)])
+        assert K.edge_length == n
+        assert knot_to_obj(K) == reference_knot_to_obj(K)
+
+
 def test_column_builder_names_the_first_bad_pair_as_the_reference_does():
     square = [(0, 0, 0), (2, 0, 0), (2, 3, 0), (0, 3, 0)]
     cycles = [square[:k] + [p] + square[k:] for k in range(5)
@@ -1018,6 +1028,11 @@ def test_cli_enumerate_refuses_past_the_cap(capsys):
     code, out, err = run_cli(capsys, "enumerate", "--max-length", "18")
     assert (code, out) == (2, "")
     assert "cap 16" in err
+    for length in ("18", "5", "2"):
+        for extra in ((), ("--classify",)):
+            code, out, err = run_cli(capsys, "enumerate", "--max-length", length, *extra)
+            assert (code, out) == (2, "")
+            assert err.startswith("error: max_edge_length")
     # the caps are constants, not options
     for argv in (
         ["enumerate", "--max-length", "4", "--cap", "4"],
@@ -1026,6 +1041,17 @@ def test_cli_enumerate_refuses_past_the_cap(capsys):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
+
+
+def test_cli_enumerate_counts_build_no_knot(capsys, monkeypatch):
+    # the counts read the census walks; only --classify builds knots
+    def refuse(max_edge_length):
+        raise AssertionError("a knot was built")
+
+    monkeypatch.setattr(latticeknots.cli, "enumerate_conformations", refuse)
+    code, out, _ = run_cli(capsys, "enumerate", "--max-length", "10")
+    assert code == 0
+    assert out.splitlines()[1:] == ["4,1", "6,3", "8,11", "10,73"]
 
 
 def test_cli_enumerate_classify_with_golden_dir(capsys, tmp_path):
