@@ -9,6 +9,7 @@
 import random
 
 from latticeknots import (
+    census_walks,
     classify_distortion_one,
     enumerate_conformations,
     format_exact,
@@ -35,7 +36,7 @@ for K in census:
 
 print()
 print("distortion-one survivors up to length 12:")
-for K in classify_distortion_one(census):
+for K in classify_distortion_one(census_walks(12)):
     print("  ", K.vertices)
 
 # A randomized walk through reductions and extensions gives empirical upper

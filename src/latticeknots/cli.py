@@ -18,8 +18,7 @@ from pathlib import Path
 
 from .certificate import certify_distortion
 from .distortion import distortion_value, format_exact, vertex_distortion
-from .explorer import CENSUS_CAP, census_walks
-from .explorer import classify_distortion_one, enumerate_conformations
+from .explorer import CENSUS_CAP, census_walks, classify_distortion_one
 from .io import (
     dump_tabulation_json,
     knot_to_json,
@@ -194,11 +193,15 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
         print("error: --golden-dir writes the classified knots; it needs --classify",
               file=sys.stderr)
         return USAGE_ERROR
-    # counted before the header, so that a refused length prints nothing
+    # counted, and the golden directory made, before the header, so that a
+    # refused length or an unusable directory prints nothing
     if args.classify:
-        knots = classify_distortion_one(enumerate_conformations(args.max_length))
+        knots = classify_distortion_one(census_walks(args.max_length))
         counts = Counter(K.edge_length for K in knots)
         header = "edge_length,distortion_one_count"
+        if args.golden_dir is not None:
+            out_dir = Path(args.golden_dir)
+            out_dir.mkdir(parents=True, exist_ok=True)
     else:
         counts = Counter(map(len, census_walks(args.max_length)))
         header = "edge_length,conformations"
@@ -206,8 +209,6 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     for length in range(4, args.max_length + 1, 2):
         print(f"{length},{counts.get(length, 0)}")
     if args.golden_dir is not None:
-        out_dir = Path(args.golden_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
         index: dict[int, int] = {}
         for K in knots:
             n = index.get(K.edge_length, 0)
@@ -292,9 +293,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--classify",
         action="store_true",
         help="count the distortion-one conformations and check their structure; "
-        "a conformation is dropped at the first stick pair whose ratio exceeds "
-        "1, and every vertex of a survivor is a corner of its bounding box, so "
-        "none exists past 8 edges",
+        "a conformation is dropped at its first antipodal vertex pair closer "
+        "than half its length, and every vertex of a survivor is a corner of "
+        "its bounding box, so none exists past 8 edges",
     )
     p_enu.add_argument("--golden-dir", default=None,
                        help="write each classified knot as a vertex CSV here; "

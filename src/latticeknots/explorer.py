@@ -8,7 +8,7 @@ step sequence over the whole group, so counts and output order are
 reproducible across runs.
 
 On top of the enumeration sit the distortion-one filter, which takes the
-enumerated knots, and a randomized walk through reduction/extension moves
+census walks, and a randomized walk through reduction/extension moves
 that tracks the lowest distortion conformation it encounters (an empirical
 upper bound for the knot type, never a proof of the infimum).
 """
@@ -228,17 +228,25 @@ def enumerate_conformations(max_edge_length: int) -> Iterator[LatticeKnot]:
         yield LatticeKnot(map(_DIRS.__getitem__, codes), repeat(1))
 
 
-def classify_distortion_one(knots: Iterable[LatticeKnot]) -> list[LatticeKnot]:
-    """The given knots whose vertex distortion equals one, in their order.
+def classify_distortion_one(walks: Iterable[bytes]) -> list[LatticeKnot]:
+    """The class walks (step codes, as ``census_walks`` gives them) whose
+    vertex distortion equals one, each as a knot from the origin, in order.
 
-    Every survivor is pushed through the structural consequences of the
-    distortion-one theorem: each vertex must be a corner of the minimal
+    A walk is dropped, before any knot is built, at its first antipodal pair
+    (vertices n/2 steps apart) closer than n/2: both arcs between them are
+    n/2 long, so their ratio (n/2)/d1 exceeds 1 by the ratio's definition,
+    not by the theorem, and no walk of distortion one is dropped.  A pair is
+    n/2 apart exactly when an arc between them holds no step and its opposite.
+
+    Every survivor goes through the kernel and the structural consequences of
+    the distortion-one theorem: each vertex must be a corner of the minimal
     bounding box (hence the whole cycle lies on the box boundary) and all
     antipodal arcs must be staircase walks.  A survivor failing those checks
     would falsify the theorem, so it raises immediately.
     """
     survivors = []
-    for K in knots:
+    for codes in filter(_antipodes_apart, walks):
+        K = LatticeKnot(map(_DIRS.__getitem__, codes), repeat(1))
         try:
             report = check_distortion_one_structure(K)
         except PreconditionFailed:
@@ -249,6 +257,17 @@ def classify_distortion_one(knots: Iterable[LatticeKnot]) -> list[LatticeKnot]:
             )
         survivors.append(K)
     return survivors
+
+
+def _antipodes_apart(codes: bytes) -> bool:
+    """Whether no run of n/2 steps holds a step and its opposite (codes 2a and
+    2a + 1 on axis a), i.e. each vertex is n/2 from the one n/2 steps on."""
+    half = len(codes) // 2
+    for i in range(half):
+        arc = codes[i:i + half]
+        if 0 in arc and 1 in arc or 2 in arc and 3 in arc or 4 in arc and 5 in arc:
+            return False
+    return True
 
 
 def random_lattice_knot(rng: random.Random, max_edge_length: int = 60) -> LatticeKnot:

@@ -18,6 +18,7 @@ from fractions import Fraction
 from latticeknots import (
     ISOMETRIES,
     build_knot,
+    census_walks,
     classify_distortion_one,
     enumerate_conformations,
     generate_torus_tabulation,
@@ -243,7 +244,7 @@ def test_criterion_4_oracle_equivalence():
 def test_criterion_5_distortion_one_classification():
     start = time.perf_counter()
     knots = list(enumerate_conformations(12))
-    survivors = classify_distortion_one(knots)
+    survivors = classify_distortion_one(census_walks(12))
     counts = {length: 0 for length in (4, 6, 8, 10, 12)}
     for K in survivors:
         counts[K.edge_length] += 1

@@ -1,6 +1,7 @@
 import random
 from collections import Counter
-from itertools import groupby
+from fractions import Fraction
+from itertools import accumulate, groupby
 
 import pytest
 
@@ -10,7 +11,9 @@ from latticeknots import (
     StickType,
     canonical_steps,
     census_walks,
+    check_distortion_one_structure,
     classify_distortion_one,
+    distortion_value,
     enumerate_conformations,
     random_lattice_knot,
     search_low_distortion,
@@ -22,6 +25,7 @@ from latticeknots.explorer import (
     _DX,
     _DY,
     _DZ,
+    _antipodes_apart,
     _canonical_codes,
     _closed_walks,
     _images,
@@ -289,15 +293,17 @@ def test_orbit_counting_identity():
 def test_census_at_sixteen_frozen_and_counts_rooted_polygons():
     """Per-length classes at 14 and 16 edges, and orbit counting: each class
     of length L stands for 96L / |stabiliser| rooted oriented polygons.
-    The distortion-one classification of the same knots keeps one class at
-    4 edges and one at 6, as it does to 12 edges."""
+    The distortion-one classification of their walks keeps one class at
+    4 edges and one at 6, as it does to 14 edges."""
     knots = list(enumerate_conformations(16))
     assert length_counts(knots) == {
         **EXPECTED_COUNTS, 12: 755, 14: 9760, 16: 143997
     }
     rooted = Counter()
+    walks = []
     for K in knots:
         codes = bytes(CODE[t] for t in knot_steps(K))
+        walks.append(codes)
         stabiliser = list(_images(codes)).count(codes)
         group_order = 96 * len(codes)
         assert group_order % stabiliser == 0
@@ -305,9 +311,9 @@ def test_census_at_sixteen_frozen_and_counts_rooted_polygons():
     assert {length: rooted[length] for length in ROOTED_POLYGONS} == ROOTED_POLYGONS
     assert rooted[14] == 12673920
     assert rooted[16] == 218904768
-    survivors = classify_distortion_one(knots)
+    survivors = classify_distortion_one(walks)
     assert [knot_steps(K) for K in survivors] == [
-        knot_steps(K) for K in classify_distortion_one(enumerate_conformations(6))
+        knot_steps(K) for K in classify_distortion_one(census_walks(6))
     ]
     assert [K.edge_length for K in survivors] == [4, 6]
 
@@ -316,6 +322,10 @@ def test_conformation_count_at_fourteen_frozen():
     assert length_counts(enumerate_conformations(14)) == {
         **EXPECTED_COUNTS, 12: 755, 14: 9760
     }
+
+
+def test_classification_at_fourteen_frozen():
+    assert length_counts(classify_distortion_one(census_walks(14))) == {4: 1, 6: 1}
 
 
 def test_enumeration_order_is_length_then_canonical_code():
@@ -353,7 +363,7 @@ def test_enumeration_argument_validation(monkeypatch):
 
 
 def test_classification_finds_square_and_cube_hexagon():
-    survivors = classify_distortion_one(enumerate_conformations(8))
+    survivors = classify_distortion_one(census_walks(8))
     by_length = {}
     for K in survivors:
         by_length.setdefault(K.edge_length, []).append(K)
@@ -367,9 +377,77 @@ def test_classification_finds_square_and_cube_hexagon():
 
 def test_classification_extends_monotonically():
     """A larger length bound only appends longer conformations."""
-    short = classify_distortion_one(enumerate_conformations(6))
-    longer = classify_distortion_one(enumerate_conformations(10))
+    short = classify_distortion_one(census_walks(6))
+    longer = classify_distortion_one(census_walks(10))
     assert longer[: len(short)] == short
+
+
+@pytest.fixture(scope="module")
+def census_fourteen():
+    """Each class to 14 edges: its walk, its knot and the kernel's value."""
+    knots = list(enumerate_conformations(14))
+    return list(zip(census_walks(14), knots, map(distortion_value, knots)))
+
+
+def test_antipodal_rejection_is_sound(census_fourteen):
+    """Every walk the antipodal test drops has distortion above 1, at least
+    the ratio (n/2)/d1 of its closest antipodal pair, both arcs being n/2."""
+    dropped = 0
+    for codes, K, value in census_fourteen:
+        if _antipodes_apart(codes):
+            continue
+        dropped += 1
+        v, half = K.vertices, K.edge_length // 2
+        d1 = min(
+            sum(abs(a - b) for a, b in zip(v[i], v[i + half])) for i in range(half)
+        )
+        assert d1 < half
+        assert value > 1 and value >= Fraction(half, d1)
+    assert dropped == len(census_fourteen) - 2
+
+
+def test_antipodal_test_reads_the_vertex_distances():
+    """On every image of every walk to 8 edges (all isometries, starts and
+    both orientations), the test holds exactly when each vertex lies n/2
+    from the vertex n/2 steps on."""
+    for codes in census_walks(8):
+        half = len(codes) // 2
+        for image in set(all_images(codes)):
+            x, y, z = ([*accumulate(d[c] for c in image)] for d in (_DX, _DY, _DZ))
+            apart = all(
+                abs(x[i] - x[i + half]) + abs(y[i] - y[i + half])
+                + abs(z[i] - z[i + half]) == half
+                for i in range(half)
+            )
+            assert _antipodes_apart(image) == apart
+
+
+def test_classification_is_the_kernel_only_reference(census_fourteen):
+    """The classifier keeps exactly the knots the kernel puts at 1."""
+
+    def key(knots):
+        return [(knot_steps(K), K.origin) for K in knots]
+
+    for length in (4, 6, 8, 10, 12):
+        reference = [
+            K for K in enumerate_conformations(length) if distortion_value(K) == 1
+        ]
+        assert key(classify_distortion_one(census_walks(length))) == key(reference)
+    reference = [K for _, K, value in census_fourteen if value == 1]
+    assert key(classify_distortion_one(census_walks(14))) == key(reference)
+
+
+def test_only_two_walks_reach_the_kernel(monkeypatch):
+    checked = []
+
+    def counting(K):
+        checked.append(K.edge_length)
+        return check_distortion_one_structure(K)
+
+    monkeypatch.setattr(explorer, "check_distortion_one_structure", counting)
+    survivors = classify_distortion_one(census_walks(12))
+    assert checked == [4, 6]
+    assert [K.edge_length for K in survivors] == [4, 6]
 
 
 def test_distortion_one_golden_files(tmp_path):

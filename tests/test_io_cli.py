@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 import latticeknots
 import latticeknots.certificate
 import latticeknots.cli
+import latticeknots.explorer
 import latticeknots.torus
 from latticeknots import (
     KnotError,
@@ -1045,10 +1046,10 @@ def test_cli_enumerate_refuses_past_the_cap(capsys):
 
 def test_cli_enumerate_counts_build_no_knot(capsys, monkeypatch):
     # the counts read the census walks; only --classify builds knots
-    def refuse(max_edge_length):
+    def refuse(*args):
         raise AssertionError("a knot was built")
 
-    monkeypatch.setattr(latticeknots.cli, "enumerate_conformations", refuse)
+    monkeypatch.setattr(latticeknots.explorer, "LatticeKnot", refuse)
     code, out, _ = run_cli(capsys, "enumerate", "--max-length", "10")
     assert code == 0
     assert out.splitlines()[1:] == ["4,1", "6,3", "8,11", "10,73"]
@@ -1074,6 +1075,21 @@ def test_cli_enumerate_classify_with_golden_dir(capsys, tmp_path):
     ]
     square = knot_from_vertex_csv((golden / files[0]).read_text())
     assert square.edge_length == 4
+
+
+def test_cli_enumerate_unusable_golden_dir_prints_nothing(capsys, tmp_path):
+    # the directory is made before the header, so a file in its way is an
+    # i/o error with stdout empty, as for a refused length
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory\n")
+    for golden in (taken, taken / "golden"):
+        code, out, err = run_cli(
+            capsys, "enumerate", "--max-length", "6", "--classify",
+            "--golden-dir", str(golden),
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith("i/o error")
+    assert taken.read_text() == "not a directory\n"
 
 
 def test_cli_enumerate_golden_dir_needs_classify(capsys, tmp_path):
