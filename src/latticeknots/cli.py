@@ -92,6 +92,9 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 def cmd_distortion(args: argparse.Namespace) -> int:
     K, _ = _load_knot(args.input)
+    if not (args.pairs or args.oracle):
+        print(format_exact(distortion_value(K)))
+        return 0
     report = vertex_distortion(K)
     if args.oracle:  # before printing, so that a knot too long to list prints nothing
         certificate = certify_distortion(K)

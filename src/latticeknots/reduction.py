@@ -17,7 +17,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .knot import LatticeKnot, SelfIntersection, knot_from_vertices
+from .knot import LatticeKnot, SelfIntersection
 from .lattice import Point
 
 
@@ -119,16 +119,17 @@ def _shift(p: Point, delta: Point, k: int) -> Point:
 def _rebuild(K: LatticeKnot, plan: _Plan, amount: int) -> LatticeKnot:
     """Assemble the slid configuration; the constructor revalidates it.
 
-    The start corners of the translating sticks move, and so does the
-    target's (WITH) or the absorber's (AGAINST); every other corner stays.
+    The target and absorber each lose ``amount``.  Vertex 0, stick 0's start,
+    moves if stick 0 translates or is the target (WITH) or absorber (AGAINST).
     """
+    lengths = [stick.length for stick in K.sticks]
+    lengths[plan.target] -= amount
+    lengths[plan.absorber] -= amount
     lead = plan.target if plan.direction is Direction.WITH else plan.absorber
-    moved = {lead, *plan.translating}
-    corners = []
-    for idx, stick in enumerate(K.sticks):
-        start = stick.start_point
-        corners.append(_shift(start, plan.delta, amount) if idx in moved else start)
-    return knot_from_vertices(corners)
+    origin = K.sticks[0].start_point
+    if 0 in (lead, *plan.translating):
+        origin = _shift(origin, plan.delta, amount)
+    return LatticeKnot((stick.type for stick in K.sticks), lengths, origin)
 
 
 def _first_collision(
@@ -278,14 +279,13 @@ def sweep_criterion_blocks(
 ) -> bool:
     """Plane-sweep diagnostic: does the full-slide sweep certify irreducibility?
 
-    Slides the moving endpoint across the whole target stick and examines the
-    plane segments the translating sticks trace.  If the rest of the knot
-    meets such a plane at a point exactly one away (taxicab) from the stick
-    that traces it, no reduction in this direction can succeed.  The
-    criterion is sufficient, not necessary: it may stay silent on moves that
-    fail anyway.  ("One away" is read as distance exactly one; points of the
-    knot can never lie at distance zero from a different stick's plane
-    without an existing intersection.)
+    True if the rest of the knot meets a plane the translating sticks trace
+    at a point one away (taxicab) from the stick that traces it: the slide's
+    first step collides, so no reduction this way succeeds (sufficient, not
+    necessary).  Unlike a move of amount 1, it reads the sweep whatever the
+    stick lengths: on the trefoil it fires on all 24 slides, where such a
+    move meets a collision on 12 and a stick of length 1 (DegenerateStick)
+    on 12; on T(3,4), 28 and 8 of 36.  Called by ``demos/reduction_moves.py``.
     """
     try:
         plan = _plan_move(K, stick_index, direction)

@@ -166,6 +166,10 @@ def length_counts(knots):
     return dict(Counter(K.edge_length for K in knots))
 
 
+def walk_length_counts(walks):
+    return dict(Counter(map(len, walks)))
+
+
 def test_conformation_counts_frozen():
     assert length_counts(enumerate_conformations(10)) == EXPECTED_COUNTS
 
@@ -280,12 +284,11 @@ def test_canonical_steps_matches_brute_force_on_images():
 def test_orbit_counting_identity():
     """Classes times orbit sizes (96L / |stabiliser|) count rooted polygons."""
     rooted = dict.fromkeys(ROOTED_POLYGONS, 0)
-    for K in enumerate_conformations(12):
-        codes = bytes(CODE[t] for t in knot_steps(K))
+    for codes in census_walks(12):
         stabiliser = sum(1 for image in all_images(codes) if image == codes)
-        group_order = 96 * K.edge_length
+        group_order = 96 * len(codes)
         assert group_order % stabiliser == 0
-        rooted[K.edge_length] += group_order // stabiliser
+        rooted[len(codes)] += group_order // stabiliser
     assert rooted == ROOTED_POLYGONS
 
 
@@ -295,15 +298,12 @@ def test_census_at_sixteen_frozen_and_counts_rooted_polygons():
     of length L stands for 96L / |stabiliser| rooted oriented polygons.
     The distortion-one classification of their walks keeps one class at
     4 edges and one at 6, as it does to 14 edges."""
-    knots = list(enumerate_conformations(16))
-    assert length_counts(knots) == {
+    walks = census_walks(16)
+    assert walk_length_counts(walks) == {
         **EXPECTED_COUNTS, 12: 755, 14: 9760, 16: 143997
     }
     rooted = Counter()
-    walks = []
-    for K in knots:
-        codes = bytes(CODE[t] for t in knot_steps(K))
-        walks.append(codes)
+    for codes in walks:
         stabiliser = list(_images(codes)).count(codes)
         group_order = 96 * len(codes)
         assert group_order % stabiliser == 0
@@ -319,7 +319,7 @@ def test_census_at_sixteen_frozen_and_counts_rooted_polygons():
 
 
 def test_conformation_count_at_fourteen_frozen():
-    assert length_counts(enumerate_conformations(14)) == {
+    assert walk_length_counts(census_walks(14)) == {
         **EXPECTED_COUNTS, 12: 755, 14: 9760
     }
 

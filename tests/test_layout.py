@@ -111,3 +111,17 @@ def test_every_public_name_has_a_caller():
         if not (everywhere[member] - _references(node, member))[node.name]
     ]
     assert uncalled == []
+
+
+def test_only_io_builds_knots_from_vertex_coordinates():
+    # a layer that holds sticks hands the constructor their types, lengths
+    # and an origin; only the file reader starts from points.  knot.py
+    # defines the two builders and __init__.py re-exports them
+    builders = {"knot_from_columns", "knot_from_vertices"}
+    found = [
+        f"{path.name}: {name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name not in ("io.py", "knot.py", "__init__.py")
+        for name in sorted(builders & set(_references(ast.parse(path.read_text()))))
+    ]
+    assert found == []

@@ -1,3 +1,4 @@
+from collections import Counter
 from random import Random
 
 import pytest
@@ -12,6 +13,7 @@ from latticeknots import (
     NonReducingMove,
     ReductionError,
     ReductionMove,
+    SelfIntersection,
     apply_extension,
     apply_reduction,
     enumerate_conformations,
@@ -22,9 +24,11 @@ from latticeknots import (
     sweep_criterion_blocks,
     torus_knot,
 )
+from latticeknots.io import knot_to_vertex_csv
 from latticeknots.lattice import l1_distance
 from latticeknots.reduction import _first_collision, _plan_move, _rebuild, _shift
 from conftest import is_reducible, knot_steps
+from test_distortion import dilated_knots
 
 
 def test_rectangle_shrinks_to_unit_square(rectangle):
@@ -256,6 +260,22 @@ def test_sweep_criterion_implies_simulation_failure():
                     assert not is_reducible(K, idx, direction)
 
 
+def test_sweep_criterion_reads_past_sticks_of_length_one():
+    # where the criterion fires, a move of amount 1 is refused either by a
+    # collision or, before any sweep, by a target or absorber of length 1
+    for p, expected in ((2, {CollisionDetected: 12, DegenerateStick: 12}),
+                        (3, {CollisionDetected: 28, DegenerateStick: 8})):
+        K = torus_knot(p)
+        refused = Counter()
+        for idx in range(K.stick_count):
+            for direction in Direction:
+                assert sweep_criterion_blocks(K, idx, direction)
+                with pytest.raises(ReductionError) as exc:
+                    apply_reduction(K, ReductionMove(idx, direction, 1))
+                refused[exc.type] += 1
+        assert refused == expected
+
+
 def test_sweep_criterion_stays_quiet_on_reducible_sticks(rectangle):
     assert not sweep_criterion_blocks(rectangle, 0, Direction.WITH)
 
@@ -302,3 +322,62 @@ def test_sweep_criterion_matches_plane_reference():
                 assert sweep_criterion_blocks(K, idx, direction) == expected
                 fired += expected
     assert fired > 0
+
+
+def _rebuild_by_corners(K, plan, amount):
+    """Reference rebuild from points: shift the start corners of the
+    translating sticks and of the target (WITH) or the absorber (AGAINST),
+    and build the knot through the corners with knot_from_vertices."""
+    lead = plan.target if plan.direction is Direction.WITH else plan.absorber
+    moved = {lead, *plan.translating}
+    return knot_from_vertices([
+        _shift(stick.start_point, plan.delta, amount) if idx in moved else stick.start_point
+        for idx, stick in enumerate(K.sticks)
+    ])
+
+
+def _extension_by_corners(K, stick_index, direction, amount):
+    """apply_extension over the corner rebuild."""
+    plan = _plan_move(K, stick_index, direction)
+    try:
+        extended = _rebuild_by_corners(K, plan, -amount)
+    except SelfIntersection as exc:
+        raise CollisionDetected(exc.point, exc.stick_indices) from exc
+    collision = _first_collision(extended, _plan_move(extended, stick_index, direction), amount)
+    if collision is not None:
+        raise CollisionDetected(collision[1], collision[2])
+    return extended
+
+
+def _outcome(move, *args):
+    """The knot a move builds and its vertex CSV, or its error's type and text."""
+    try:
+        K = move(*args)
+    except (ReductionError, KnotError) as exc:
+        return type(exc), str(exc)
+    return K, knot_to_vertex_csv(K)
+
+
+def test_moves_build_the_knot_of_the_corner_rebuild():
+    # every reduction that succeeds and every extension by 1 and 2, whether
+    # it succeeds or not, against the same move rebuilt from shifted corners
+    rng = Random(5)
+    knots = list(enumerate_conformations(10))
+    knots += [random_lattice_knot(rng, 40) for _ in range(150)]
+    knots += [torus_knot(p) for p in range(2, 6)] + dilated_knots()
+    reduced = extended = 0
+    for K in knots:
+        for idx in range(K.stick_count):
+            for direction in Direction:
+                for amount in range(1, max_reduction_amount(K, idx, direction) + 1):
+                    plan = _plan_move(K, idx, direction)
+                    new = apply_reduction(K, ReductionMove(idx, direction, amount))
+                    old = _rebuild_by_corners(K, plan, amount)
+                    assert new == old
+                    assert knot_to_vertex_csv(new) == knot_to_vertex_csv(old)
+                    reduced += 1
+                for amount in (1, 2):
+                    new = _outcome(apply_extension, K, idx, direction, amount)
+                    assert new == _outcome(_extension_by_corners, K, idx, direction, amount)
+                    extended += isinstance(new[0], LatticeKnot)
+    assert reduced > 0 and extended > 0
