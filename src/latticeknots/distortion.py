@@ -57,11 +57,10 @@ reports, not the stick length.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 from math import gcd
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .knot import MAX_POINTS, LatticeKnot, Stick, TooManyPoints
 from .lattice import Point, is_staircase, is_box_corner
@@ -74,8 +73,7 @@ class PreconditionFailed(ValueError):
     """A structural check was invoked on a knot that does not qualify."""
 
 
-@dataclass(frozen=True)
-class DistortionReport:
+class DistortionReport(NamedTuple):
     """Exact distortion value with every vertex pair attaining it.
 
     ``realizing_pairs`` holds ascending (i, j) index pairs, i < j, sorted;
@@ -320,8 +318,7 @@ def _zeros(A: int, B: int, C: int, cons: list) -> list[tuple[int, int]]:
     return [(s0 + ds * k, t0 + dt * k) for k in range(low, high + 1)]
 
 
-@dataclass(frozen=True)
-class DistortionOneReport:
+class DistortionOneReport(NamedTuple):
     """Outcome of the structural checks available to distortion-one knots.
 
     For such a knot every vertex must be a corner of the minimal bounding
@@ -364,6 +361,4 @@ def check_distortion_one_structure(K: LatticeKnot) -> DistortionOneReport:
 
 def format_exact(value: Fraction) -> str:
     """Render a rational as ``a/b``, or plain ``a`` for integers."""
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+    return str(value)

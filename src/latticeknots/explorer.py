@@ -17,25 +17,15 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
-from .distortion import (
-    PreconditionFailed,
-    check_distortion_one_structure,
-    distortion_value,
-)
+from .distortion import PreconditionFailed, check_distortion_one_structure, distortion_value
 from .knot import LatticeKnot, StickType
 from .lattice import ISOMETRIES, Point
-from .reduction import (
-    Direction,
-    ReductionError,
-    ReductionMove,
-    apply_extension,
-    apply_reduction,
-)
+from .reduction import (Direction, ReductionError, ReductionMove, apply_extension,
+                        apply_reduction)
 
 # the census grows exponentially with length: 279,052 walks emitted at 16 edges
 CENSUS_CAP = 16
@@ -310,8 +300,7 @@ def random_lattice_knot(rng: random.Random, max_edge_length: int = 60) -> Lattic
             raise RuntimeError("no closed walk found (unreachable for length >= 4)")
 
 
-@dataclass(frozen=True)
-class SearchResult:
+class SearchResult(NamedTuple):
     """Lowest-distortion conformation seen during a randomized move walk."""
 
     best_knot: LatticeKnot

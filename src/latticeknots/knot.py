@@ -21,10 +21,9 @@ from __future__ import annotations
 
 import enum
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from itertools import chain, combinations, compress
-from operator import add, mul, sub
-from typing import Iterable, Iterator, Sequence
+from operator import add, attrgetter, mul, sub
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .lattice import AXES, AXIS_NAMES, Point
 
@@ -112,30 +111,33 @@ for _t in StickType:
 del _t
 
 
-@dataclass(frozen=True)
-class Tabulation:
+class _TabulationFields(NamedTuple):
+    types: tuple[StickType, ...]
+    lengths: tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]
+
+
+class Tabulation(_TabulationFields):
     """A stick-type sequence with per-axis columns of stick lengths.
 
     The n-th stick of a given axis takes its length from the n-th entry of
     that axis's column.  Columns may be padded with trailing zeros (as in
     printed tables whose rows run to the largest per-axis stick count); the
-    padding is accepted on input and never emitted.
+    padding is accepted on input and never emitted.  A column that does not
+    agree with the type sequence raises LengthMismatch.
     """
 
-    types: tuple[StickType, ...]
-    lengths: tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, types: tuple[StickType, ...], lengths: tuple) -> "Tabulation":
         for axis in AXES:
-            count = sum(1 for t in self.types if t.axis == axis)
-            column = self.lengths[axis]
+            count = sum(1 for t in types if t.axis == axis)
+            column = lengths[axis]
             if len(column) < count:
                 raise LengthMismatch(
                     f"{AXIS_NAMES[axis]} column has {len(column)} entries "
                     f"but the type sequence uses {count} {AXIS_NAMES[axis]}-sticks"
                 )
-            consumed = column[:count]
-            if any(n < 1 for n in consumed):
+            if any(n < 1 for n in column[:count]):
                 raise LengthMismatch(
                     f"{AXIS_NAMES[axis]} column holds a nonpositive length "
                     f"within its first {count} entries"
@@ -145,6 +147,11 @@ class Tabulation:
                     f"{AXIS_NAMES[axis]} column has unconsumed positive entries "
                     f"past row {count}"
                 )
+        return super().__new__(cls, types, lengths)
+
+    @classmethod
+    def _make(cls, fields: Iterable) -> "Tabulation":  # so that _replace checks too
+        return cls(*fields)
 
     @classmethod
     def from_columns(
@@ -178,25 +185,44 @@ class Tabulation:
         return sum(self.stick_lengths())
 
 
-@dataclass(slots=True, unsafe_hash=True)
 class Stick:
     """A maximal straight segment and its geometry.
 
     ``start`` is the index of its initial vertex, ``start_point`` and
     ``end_point`` are its two ends in traversal order, and ``lo``/``hi`` are
     the componentwise min and max of the ends: its box.  Nothing writes a
-    stick after the constructor makes it; it is not frozen because a frozen
-    one takes 1.2 us to make against 0.3 us (Python 3.11), more than half
-    of what a census knot costs to build.
+    stick after the constructor makes it.  It is neither frozen nor a tuple:
+    every knot built (a torus member, a move's result) makes its sticks one at
+    a time, and as a NamedTuple it made building torus p = 2..18 6.7% slower,
+    ``verify_structure`` 7.0% and a 300-move dilated search 5.2% (Python 3.11).
     """
 
-    type: StickType
-    length: int
-    start: int
-    start_point: Point
-    end_point: Point
-    lo: Point
-    hi: Point
+    __slots__ = ("type", "length", "start", "start_point", "end_point", "lo", "hi")
+
+    def __init__(self, type: StickType, length: int, start: int, start_point: Point,
+                 end_point: Point, lo: Point, hi: Point) -> None:
+        self.type = type
+        self.length = length
+        self.start = start
+        self.start_point = start_point
+        self.end_point = end_point
+        self.lo = lo
+        self.hi = hi
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return _stick_fields(self) == _stick_fields(other)
+
+    def __hash__(self) -> int:
+        return hash(_stick_fields(self))
+
+    def __repr__(self) -> str:
+        pairs = zip(self.__slots__, _stick_fields(self))
+        return f"Stick({', '.join(f'{name}={value!r}' for name, value in pairs)})"
+
+
+_stick_fields = attrgetter(*Stick.__slots__)
 
 
 # a stick along axis a lies in one lattice plane across each of these axes
@@ -282,8 +308,9 @@ class LatticeKnot:
             owned.append(p + last if p < q else last + p)
             start += length
 
-        # all pairs of a dozen sticks (every census knot to 12 edges) cost
-        # less than grouping them; more are paired by the planes they lie in
+        # up to 12 sticks, all pairs cost less than grouping by plane: 0.44 against
+        # 1.07 ms over the 24 benchmark dilated knots of <= 12 sticks, and 19.6
+        # against 24.0 ms on a 300-move dilated search (Python 3.11, 2-vCPU x86-64)
         m = len(sticks)
         pairs = combinations(range(m), 2) if m <= 12 else _plane_pairs(sticks, owned)
         hits = [
@@ -385,13 +412,8 @@ class LatticeKnot:
         columns: list[list[int]] = [[], [], []]
         for stick in ordered:
             columns[stick.type.axis].append(stick.length)
-        return (
-            Tabulation(
-                tuple(s.type for s in ordered),
-                (tuple(columns[0]), tuple(columns[1]), tuple(columns[2])),
-            ),
-            ordered[0].start_point,
-        )
+        tab = Tabulation(tuple(s.type for s in ordered), tuple(map(tuple, columns)))
+        return tab, ordered[0].start_point
 
     def __eq__(self, other: object) -> bool:
         # the sticks, with their start indices, fix the vertex sequence

@@ -15,7 +15,7 @@ and are validated by checking the time-reversed reduction on the result.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .knot import LatticeKnot, SelfIntersection
 from .lattice import Point
@@ -63,8 +63,7 @@ class NonReducingMove(ReductionError):
     """The absorbing stick points the same way, so sliding would not shorten the knot."""
 
 
-@dataclass(frozen=True)
-class ReductionMove:
+class ReductionMove(NamedTuple):
     """One slide: which stick, which endpoint moves, and by how much."""
 
     stick_index: int
@@ -72,8 +71,7 @@ class ReductionMove:
     amount: int
 
 
-@dataclass(frozen=True)
-class _Plan:
+class _Plan(NamedTuple):
     """Resolved slide geometry: who translates, who absorbs, which way."""
 
     target: int
@@ -252,12 +250,14 @@ def max_reduction_amount(K: LatticeKnot, stick_index: int, direction: Direction)
     return cap if collision is None else collision[0] - 1
 
 
-@dataclass(frozen=True)
-class IrreducibilityReport:
-    """Verdict plus, when reducible, every (stick, direction, max amount) witness."""
+class IrreducibilityReport(NamedTuple):
+    """Every (stick, direction, max amount) witness; irreducible when there is none."""
 
-    irreducible: bool
     witnesses: tuple[tuple[int, Direction, int], ...]
+
+    @property
+    def irreducible(self) -> bool:
+        return not self.witnesses
 
 
 def is_irreducible(K: LatticeKnot) -> IrreducibilityReport:
@@ -271,7 +271,7 @@ def is_irreducible(K: LatticeKnot) -> IrreducibilityReport:
             amount = max_reduction_amount(K, idx, direction)
             if amount > 0:
                 witnesses.append((idx, direction, amount))
-    return IrreducibilityReport(not witnesses, tuple(witnesses))
+    return IrreducibilityReport(tuple(witnesses))
 
 
 def sweep_criterion_blocks(

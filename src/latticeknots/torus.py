@@ -21,15 +21,10 @@ reverifies simplicity.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
-from .knot import (
-    LatticeKnot,
-    StickType,
-    Tabulation,
-    build_knot,
-)
+from .knot import LatticeKnot, StickType, Tabulation, build_knot
 from .lattice import Point, are_coplanar
 
 _PERIOD = (
@@ -149,8 +144,7 @@ def x_level_2_initial_vertex(p: int, n: int) -> Point:
     return (2, 1 - n, 2 * p - n)
 
 
-@dataclass(frozen=True)
-class XLevel2Report:
+class XLevel2Report(NamedTuple):
     """Shape of the one level that meets the knot in several arcs.
 
     x-level 2 must hold exactly p - 1 L-shaped arcs, each a y-stick of
@@ -236,8 +230,7 @@ def verify_x_level_2(p: int, K: LatticeKnot) -> XLevel2Report:
 _COPLANAR_EXCLUDE_LAST = {StickType.YP, StickType.ZM}
 
 
-@dataclass(frozen=True)
-class StructureReport:
+class StructureReport(NamedTuple):
     """The structural facts that failed for one family member, in check order."""
 
     p: int

@@ -495,3 +495,7 @@ def test_format_exact():
     assert format_exact(Fraction(41)) == "41"
     assert format_exact(Fraction(95, 4)) == "95/4"
     assert format_exact(Fraction(-3, 2)) == "-3/2"
+    assert format_exact(Fraction(-41)) == "-41"
+    assert format_exact(7) == "7"
+    assert format_exact(Fraction(10**12 + 1, 3)) == "1000000000001/3"
+    assert format_exact(Fraction(-(10**12))) == "-1000000000000"

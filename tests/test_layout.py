@@ -1,4 +1,7 @@
 import ast
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -125,3 +128,14 @@ def test_only_io_builds_knots_from_vertex_coordinates():
         for name in sorted(builders & set(_references(ast.parse(path.read_text()))))
     ]
     assert found == []
+
+
+def test_cli_import_generates_no_record_code():
+    # the records are NamedTuples and Stick a slots class, so importing the
+    # command line generates no methods: neither dataclasses nor inspect,
+    # which it loads, is imported.  -S keeps site hooks out of the count
+    probe = "import sys, latticeknots.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    run = subprocess.run([sys.executable, "-S", "-c", probe], env=env,
+                         capture_output=True, text=True, check=True, timeout=60)
+    assert run.stdout.strip() == "[]"
