@@ -33,7 +33,7 @@ print("trefoil:", format_exact(report.value),
       "bound:", format_exact(Fraction(trefoil.edge_length, 2)),
       "pairs:", report.realizing_pairs)
 
-# An independent check: breadth-first distances plus a plain all-pairs loop.
+# An independent check: arcs from vertex indices and a plain all-pairs loop.
 value, pairs = vertex_distortion_oracle(trefoil)
 print("oracle agrees:", value == report.value and pairs == report.realizing_pairs)
 

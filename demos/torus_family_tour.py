@@ -22,7 +22,7 @@ for t, length in zip(tab.types, tab.stick_lengths()):
     sums[t] += length
 print("directed sums x/y/z:",
       *((sums[StickType(a + "+")], sums[StickType(a + "-")]) for a in "xyz"))
-print("total length:", tab.total_length, "= 5p^2+3p-2 =", 5 * 25 + 15 - 2)
+print("total length:", K.edge_length, "= 5p^2+3p-2 =", 5 * 25 + 15 - 2)
 
 # Simplicity rests on partial sums: y- and z-levels are hit once each,
 # and only the x-level 2 is revisited.

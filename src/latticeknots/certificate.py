@@ -1,7 +1,7 @@
 """Exact vertex distortion certified from lattice-neighbour shells.
 
 A third route to the distortion, sharing no code with the stick-pair kernel
-in :mod:`latticeknots.distortion` or the breadth-first oracle in
+in :mod:`latticeknots.distortion` or the all-pairs oracle in
 :mod:`latticeknots.oracle`.  It needs only the vertices, a point -> index
 dict and one lemma.
 
@@ -23,7 +23,7 @@ by integer cross-multiplication.
 The cost.  Shell 1 costs 3n lookups and is always scanned; it closes on
 every torus knot T(p, p+1) tested, so there the check is O(n).  Shell D
 costs n(2D^2 + 1) lookups, so reaching it costs about 2nD^3/3.  A knot that
-does not close pays the scan and then the breadth-first oracle's n(n-1)/2
+does not close pays the scan and then the all-pairs oracle's n(n-1)/2
 pairs, so the scan goes past shell 1 only while its lookups so far stay
 within n(n-1)/16, an eighth of those pairs.  Measured in-process (Python
 3.11) on knots of 52-2000 edges that do not close, the scan then costs

@@ -247,8 +247,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="recompute the value and pairs independently: certified from "
         "lattice-neighbour shells when the bound n/(2d) closes (O(n) when it "
         "closes at shell 1, as on every torus p tested; at most n(n-1)/16 "
-        "lookups past shell 1), by breadth-first search in O(n^2) only when "
-        "it cannot; exit 1 if they disagree",
+        "lookups past shell 1), by comparing every vertex pair in O(n^2) only "
+        "when it cannot; exit 1 if they disagree",
     )
     p_dis.set_defaults(func=cmd_distortion)
 

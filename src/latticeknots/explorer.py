@@ -69,12 +69,7 @@ def canonical_steps(steps: Sequence[StickType]) -> tuple[int, ...]:
     direction to its least code, so any other sequence gets its exact least
     image too.
     """
-    return tuple(_canonical_codes(bytes(_ENCODE[s] for s in steps)))
-
-
-def _canonical_codes(codes: bytes) -> bytes:
-    """The least image of ``codes``, over the images of ``canonical_steps``."""
-    return min(_images(codes))
+    return tuple(min(_images(bytes(_ENCODE[s] for s in steps))))
 
 
 def _is_least(codes: bytes) -> bool:
@@ -118,7 +113,7 @@ def _closed_walks(max_length: int, emit: Callable[[bytes], object]) -> None:
     that could be the least image of its own class, as the depth-first
     search completes it (in search order, not by length; no list is kept).
 
-    The least image that ``_canonical_codes`` picks obeys five rules, so the
+    The least image that ``canonical_steps`` picks obeys five rules, so the
     search prunes every walk, complete or partial, that breaks one:
 
     - it opens with a run of k x+ steps and then y+: the least image starts

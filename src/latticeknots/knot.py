@@ -180,10 +180,6 @@ class Tabulation(_TabulationFields):
             cursor[t.axis] += 1
         return tuple(out)
 
-    @property
-    def total_length(self) -> int:
-        return sum(self.stick_lengths())
-
 
 class Stick:
     """A maximal straight segment and its geometry.
@@ -308,11 +304,13 @@ class LatticeKnot:
             owned.append(p + last if p < q else last + p)
             start += length
 
-        # up to 12 sticks, all pairs cost less than grouping by plane: 0.44 against
-        # 1.07 ms over the 24 benchmark dilated knots of <= 12 sticks, and 19.6
-        # against 24.0 ms on a 300-move dilated search (Python 3.11, 2-vCPU x86-64)
+        # up to 84 sticks, all pairs cost less than grouping by plane; the whole
+        # constructor, best of 7 (Python 3.11, 2-vCPU x86-64): torus p = 3 (18
+        # sticks) 27 against 63 us, p = 14 (84) 285 against 299 us, p = 15 (90)
+        # 328 against 316 us, p = 18 (108) 459 against 398 us; the benchmark's 32
+        # dilated knots of <= 18 sticks 0.55 against 1.35 ms
         m = len(sticks)
-        pairs = combinations(range(m), 2) if m <= 12 else _plane_pairs(sticks, owned)
+        pairs = combinations(range(m), 2) if m <= 84 else _plane_pairs(sticks, owned)
         hits = [
             (a, b)
             for a, b in pairs

@@ -1,7 +1,7 @@
 """Integer lattice geometry.
 
 Points of the cubic lattice are plain ``(x, y, z)`` integer tuples.  Everything
-in this module is exact: distances and ranks are integers, and no floating
+in this module is exact: distances and normals are integers, and no floating
 point is used anywhere.
 """
 
@@ -21,22 +21,17 @@ def l1_distance(a: Point, b: Point) -> int:
     return abs(a[0] - b[0]) + abs(a[1] - b[1]) + abs(a[2] - b[2])
 
 
-def check_unit_path(path: Sequence[Point]) -> None:
-    """Raise ValueError unless consecutive points differ by exactly one unit step."""
-    if not path:
-        raise ValueError("path must contain at least one point")
-    for p, q in zip(path, path[1:]):
-        if l1_distance(p, q) != 1:
-            raise ValueError(f"not a unit-step path: {p} -> {q}")
-
-
 def is_staircase(path: Sequence[Point]) -> bool:
     """True iff every coordinate sequence along the path is monotone.
 
     Each axis may independently be nondecreasing or nonincreasing; a
     single-point path is vacuously a staircase.
     """
-    check_unit_path(path)
+    if not path:
+        raise ValueError("path must contain at least one point")
+    for p, q in zip(path, path[1:]):
+        if l1_distance(p, q) != 1:
+            raise ValueError(f"not a unit-step path: {p} -> {q}")
     for axis in AXES:
         coords = [p[axis] for p in path]
         up = all(c1 <= c2 for c1, c2 in zip(coords, coords[1:]))
@@ -74,34 +69,20 @@ ISOMETRIES: tuple[Isometry, ...] = tuple(
 )
 
 
-def affine_rank(points: Sequence[Point]) -> int:
-    """Rank of the differences p_i - p_0, by fraction-free integer elimination.
-
-    0 for a single point, 1 for collinear sets, 2 for coplanar sets.  Each
-    row is eliminated by cross multiplication with the pivot row, so every
-    entry stays an exact integer.
-    """
-    if len(points) < 2:
-        return 0
-    bx, by, bz = points[0]
-    rows = [[x - bx, y - by, z - bz] for x, y, z in points[1:]]
-    rank = 0
-    for col in AXES:
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        lead_row = rows[rank]
-        lead = lead_row[col]
-        for r in range(rank + 1, len(rows)):
-            factor = rows[r][col]
-            if factor:
-                rows[r] = [lead * a - factor * b for a, b in zip(rows[r], lead_row)]
-        rank += 1
-        if rank == 3:
-            break
-    return rank
-
-
 def are_coplanar(points: Sequence[Point]) -> bool:
-    return affine_rank(points) <= 2
+    """True iff one plane holds all the points, by integer arithmetic.
+
+    The differences from the first point span at most a plane iff all are
+    orthogonal to u x v, for u the first nonzero difference and v the first
+    difference not parallel to u.  With no such v the points are collinear
+    or all one point, and the zero normal passes them all.  Any three points
+    are coplanar.
+    """
+    if len(points) < 4:
+        return True
+    bx, by, bz = points[0]
+    diffs = [(x - bx, y - by, z - bz) for x, y, z in points[1:]]
+    ux, uy, uz = next((d for d in diffs if any(d)), (0, 0, 0))
+    crosses = ((uy * z - uz * y, uz * x - ux * z, ux * y - uy * x) for x, y, z in diffs)
+    a, b, c = next((w for w in crosses if any(w)), (0, 0, 0))
+    return all(a * x + b * y + c * z == 0 for x, y, z in diffs)

@@ -1,5 +1,6 @@
 import math
 from bisect import bisect_right
+from collections import deque
 from fractions import Fraction
 
 import pytest
@@ -233,6 +234,54 @@ def reference_knot_to_obj(K):
     cycle = " ".join(str(i) for i in range(1, K.edge_length + 1))
     lines.append(f"l {cycle} 1")
     return "\n".join(lines) + "\n"
+
+
+def reference_graph(K):
+    """Adjacency keyed by lattice point, built from consecutive vertices."""
+    adj = {v: [] for v in K.vertices}
+    n = len(K.vertices)
+    for i in range(n):
+        p, q = K.vertices[i], K.vertices[(i + 1) % n]
+        adj[p].append(q)
+        adj[q].append(p)
+    return adj
+
+
+def reference_bfs_row(K, adj, i):
+    """Breadth-first distances from vertex ``i``, listed in vertex order."""
+    dist = {K.vertices[i]: 0}
+    queue = deque([K.vertices[i]])
+    while queue:
+        p = queue.popleft()
+        for q in adj[p]:
+            if q not in dist:
+                dist[q] = dist[p] + 1
+                queue.append(q)
+    return [dist[v] for v in K.vertices]
+
+
+def affine_rank_by_fractions(points):
+    """Reference: Gaussian elimination over the rationals."""
+    if len(points) < 2:
+        return 0
+    base = points[0]
+    rows = [[Fraction(p[axis] - base[axis]) for axis in range(3)] for p in points[1:]]
+    rank = 0
+    for col in range(3):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        lead = rows[rank][col]
+        for r in range(rank + 1, len(rows)):
+            if rows[r][col] != 0:
+                factor = rows[r][col] / lead
+                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[rank])]
+        rank += 1
+        if rank == 3:
+            break
+    return rank
+
 
 @pytest.fixture
 def trefoil():

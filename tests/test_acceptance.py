@@ -31,8 +31,7 @@ from latticeknots import (
     vertex_distortion,
     vertex_distortion_oracle,
 )
-from latticeknots.distortion import check_distortion_one_structure
-from latticeknots.oracle import _bfs, knot_graph
+from latticeknots.distortion import _arc, check_distortion_one_structure
 from latticeknots.reduction import Direction
 from latticeknots.torus import (
     distortion_formula_even_large,
@@ -44,8 +43,9 @@ from latticeknots.torus import (
 from conftest import (
     box,
     is_reducible,
-    knot_distance,
     moved_knot,
+    reference_bfs_row,
+    reference_graph,
     staircase_count,
     trefoil_tabulation,
 )
@@ -226,11 +226,9 @@ def test_criterion_4_oracle_equivalence():
     for _ in range(50):
         K = random_lattice_knot(rng, max_edge_length=60)
         assert K.edge_length <= 60
-        adj = knot_graph(K)
-        for i in range(K.edge_length):
-            row = _bfs(adj, i)
-            for j in range(K.edge_length):
-                assert row[j] == knot_distance(K, i, j)
+        n, adj = K.edge_length, reference_graph(K)
+        for i in range(n):
+            assert reference_bfs_row(K, adj, i) == [_arc(n, j - i) for j in range(n)]
         report = vertex_distortion(K)
         value, pairs = vertex_distortion_oracle(K)
         assert report.value == value

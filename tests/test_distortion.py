@@ -1,6 +1,5 @@
 import math
 import random
-from collections import deque
 from fractions import Fraction
 from itertools import combinations
 
@@ -22,8 +21,10 @@ import latticeknots.distortion as distortion
 from latticeknots.distortion import DistortionReport
 from latticeknots.knot import TooManyPoints
 from latticeknots.lattice import l1_distance
-from latticeknots.oracle import _bfs, knot_graph
-from conftest import distortion_pair_value, double_loop_corners, knot_distance, moved_knot
+from conftest import (
+    distortion_pair_value, double_loop_corners, knot_distance, moved_knot, reference_bfs_row,
+    reference_graph,
+)
 
 
 def walk_both_ways(K, i, j):
@@ -152,40 +153,6 @@ def test_structure_check_requires_distortion_one(trefoil):
             check_distortion_one_structure(K)
 
 
-def test_bfs_oracle_matches_arc_positions():
-    rng = random.Random(23)
-    for _ in range(10):
-        K = random_lattice_knot(rng, 40)
-        adj = knot_graph(K)
-        for i in range(K.edge_length):
-            row = _bfs(adj, i)
-            for j in range(K.edge_length):
-                assert row[j] == knot_distance(K, i, j)
-
-
-def reference_graph(K):
-    """Adjacency keyed by lattice point, built from consecutive vertices."""
-    adj = {v: [] for v in K.vertices}
-    n = len(K.vertices)
-    for i in range(n):
-        p, q = K.vertices[i], K.vertices[(i + 1) % n]
-        adj[p].append(q)
-        adj[q].append(p)
-    return adj
-
-
-def reference_bfs_row(K, adj, i):
-    dist = {K.vertices[i]: 0}
-    queue = deque([K.vertices[i]])
-    while queue:
-        p = queue.popleft()
-        for q in adj[p]:
-            if q not in dist:
-                dist[q] = dist[p] + 1
-                queue.append(q)
-    return [dist[v] for v in K.vertices]
-
-
 def reference_oracle(K):
     """Unfiltered brute force over a point-keyed BFS table."""
     n = len(K.vertices)
@@ -205,8 +172,8 @@ def reference_oracle(K):
 
 
 def test_oracle_matches_point_keyed_reference():
-    """The index graph and the row pre-filter change no value, pair or order;
-    rectangles and the census tie many pairs at the maximum."""
+    """The index-distance arc and the row pre-filter change no value, pair
+    or order; rectangles and the census tie many pairs at the maximum."""
     rng = random.Random(31)
     rectangles = [
         knot_from_vertices([(0, 0, 0), (a, 0, 0), (a, b, 0), (0, b, 0)])
@@ -216,9 +183,6 @@ def test_oracle_matches_point_keyed_reference():
     random_knots = [random_lattice_knot(rng, 60) for _ in range(200)]
     for K in list(enumerate_conformations(10)) + rectangles + random_knots:
         assert vertex_distortion_oracle(K) == reference_oracle(K), K
-        adj, reference_adj = knot_graph(K), reference_graph(K)
-        for i in range(K.edge_length):
-            assert _bfs(adj, i) == reference_bfs_row(K, reference_adj, i)
 
 
 def dilate(K, factor):
@@ -355,7 +319,7 @@ def test_value_one_test_stops_at_the_same_decision_as_the_value():
 
 def test_value_one_realizes_every_pair_as_the_oracle_does():
     """Where the kernel reads 1, its pairs are all n(n-1)/2 pairs and those
-    of the BFS oracle, which shares no code with the kernel."""
+    of the all-pairs oracle, which shares no code with the kernel."""
     corpus = list(enumerate_conformations(10))
     corpus += [rectangle(a, b) for a in range(1, 9) for b in range(1, 9)]
     ones = 0

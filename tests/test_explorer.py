@@ -26,13 +26,11 @@ from latticeknots.explorer import (
     _DY,
     _DZ,
     _antipodes_apart,
-    _canonical_codes,
     _closed_walks,
     _images,
     _is_least,
 )
-from latticeknots.lattice import affine_rank
-from conftest import box, isometry_image, knot_steps, moved_knot
+from conftest import affine_rank_by_fractions, box, isometry_image, knot_steps, moved_knot
 
 # Frozen regression values from the exhaustive backtracking enumeration.
 EXPECTED_COUNTS = {4: 1, 6: 3, 8: 11, 10: 73}
@@ -177,7 +175,7 @@ def test_conformation_counts_frozen():
 def test_length_six_classes():
     hexagons = [K for K in enumerate_conformations(6) if K.edge_length == 6]
     assert len(hexagons) == 3
-    planar = [K for K in hexagons if affine_rank(list(K.vertices)) == 2]
+    planar = [K for K in hexagons if affine_rank_by_fractions(list(K.vertices)) == 2]
     # one planar class (the 2x1 rectangle); the other two bend out of plane
     assert len(planar) == 1
     assert box(planar[0].vertices)[1] in ((2, 1, 0), (1, 2, 0))
@@ -211,9 +209,9 @@ def test_canonical_steps_matches_brute_force_on_all_walks():
 
 
 def test_pruned_walks_give_the_reference_classes():
-    reference = {_canonical_codes(w) for w in collect(reference_closed_walks, 12)}
+    reference = {min(_images(w)) for w in collect(reference_closed_walks, 12)}
     for length in range(4, 13, 2):
-        pruned = {_canonical_codes(w) for w in collect(_closed_walks, length)}
+        pruned = {min(_images(w)) for w in collect(_closed_walks, length)}
         assert pruned == {c for c in reference if len(c) <= length}
 
 
@@ -221,7 +219,7 @@ def test_pruned_walks_include_each_class_least_image():
     walks = collect(_closed_walks, 12)
     # 3,351 before the cut at partial walks whose image is smaller
     assert len(walks) == len(set(walks)) == 1419
-    classes = {_canonical_codes(w) for w in walks}
+    classes = {min(_images(w)) for w in walks}
     assert len(classes) == 843
     assert classes <= set(walks)
 
@@ -244,7 +242,7 @@ def test_is_least_agrees_with_the_canonical_form():
     kept = [walk for walk in walks if _is_least(walk)]
     assert len(kept) == 843 + 88
     for walk in walks:
-        assert _is_least(walk) == (walk == _canonical_codes(walk))
+        assert _is_least(walk) == (walk == min(_images(walk)))
 
 
 def test_pruned_walks_obey_the_four_rules():
@@ -371,7 +369,7 @@ def test_classification_finds_square_and_cube_hexagon():
     assert len(by_length[4]) == 1 and len(by_length[6]) == 1
     hexagon = by_length[6][0]
     # the nonplanar corner hexagon: all vertices on the unit cube
-    assert affine_rank(list(hexagon.vertices)) == 3
+    assert affine_rank_by_fractions(list(hexagon.vertices)) == 3
     assert box(hexagon.vertices)[1] == (1, 1, 1)
 
 

@@ -849,7 +849,7 @@ def test_cli_distortion_oracle_golden_on_torus(capsys, tmp_path):
 def test_cli_distortion_oracle_falls_back_to_bfs(capsys, tmp_path, monkeypatch,
                                                  corners):
     # these knots do not close at shell 1 and cannot afford shell 2, so the
-    # certificate gives up and the breadth-first oracle decides
+    # certificate gives up and the all-pairs oracle decides
     K = knot_from_vertices(corners)
     assert not latticeknots.cli.certify_distortion(K).certified
     bfs_calls = []

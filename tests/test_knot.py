@@ -168,6 +168,25 @@ def _random_walks(rng, count):
         yield types, lengths, tuple(rng.randrange(-3, 4) for _ in range(3))
 
 
+def _crossing_torus_walks(rng):
+    """Torus walks of 90 to 108 sticks, past the constructor's all-pairs
+    cut-over of 84, most made to cross: a stick and the next stick opposite
+    it grow by the same amount, which keeps the walk closed and shifts the
+    arc between them."""
+    for p in range(15, 19):
+        tab = generate_torus_tabulation(p)
+        types, m = tab.types, len(tab.types)
+        for _ in range(10):
+            k = rng.randrange(m)
+            opposite = next(i % m for i in range(k + 1, k + m)
+                            if types[i % m] is types[k].opposite)
+            lengths = list(tab.stick_lengths())
+            amount = rng.randrange(1, 4)
+            lengths[k] += amount
+            lengths[opposite] += amount
+            yield types, lengths, (0, 0, 0)
+
+
 # The last stick runs x+ through vertex 0 and the x+ stick from (-2, 0, 0)
 # runs over it, so the first revisit is vertex 0 itself, inside both sticks.
 OVER_VERTEX_0 = ("x+ y+ x- y- x+ y- x- y+ x+", (2, 1, 4, 1, 5, 1, 4, 1, 1))
@@ -177,9 +196,10 @@ def test_constructor_matches_point_reference_on_random_walks():
     # every outcome of the stick constructor, from runs and from the corner
     # list, is the point-by-point constructor's: steps, vertices and sticks,
     # or the error's class, message, first revisited point and stick pair
-    simple = revisits = 0
+    simple = revisits = past_cut_over = 0
     over = [StickType.parse(t) for t in OVER_VERTEX_0[0].split()], OVER_VERTEX_0[1]
     walks = [(*over, (0, 0, 0))] + list(_random_walks(random.Random(5), 6000))
+    walks += _crossing_torus_walks(random.Random(41))
     for types, lengths, origin in walks:
         steps = _unit_steps(types, lengths)
         expected = _outcome(lambda: reference_knot(steps, origin))
@@ -192,7 +212,8 @@ def test_constructor_matches_point_reference_on_random_walks():
             assert _outcome(lambda: knot_from_vertices(corners)) == expected
         simple += expected[0] is not SelfIntersection and expected[0] is not NotClosed
         revisits += expected[0] is SelfIntersection
-    assert simple > 500 and revisits > 4000
+        past_cut_over += expected[0] is SelfIntersection and len(types) > 84
+    assert simple > 500 and revisits > 4000 and past_cut_over > 20
 
 
 def test_constructor_matches_point_reference_on_knot_corpora():

@@ -1,5 +1,4 @@
 import random
-from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -12,8 +11,8 @@ from latticeknots import (
     l1_distance,
     torus_knot,
 )
-from latticeknots.lattice import affine_rank, are_coplanar
-from conftest import box, staircase_count
+from latticeknots.lattice import are_coplanar
+from conftest import affine_rank_by_fractions, box, staircase_count
 
 points = st.tuples(
     st.integers(-20, 20), st.integers(-20, 20), st.integers(-20, 20)
@@ -165,41 +164,17 @@ def test_is_box_corner_agrees_with_corner_membership():
         assert is_box_corner(v, K.vertices) == (v in corners)
 
 
-def affine_rank_by_fractions(points):
-    """Reference: Gaussian elimination over the rationals."""
-    if len(points) < 2:
-        return 0
-    base = points[0]
-    rows = [[Fraction(p[axis] - base[axis]) for axis in range(3)] for p in points[1:]]
-    rank = 0
-    for col in range(3):
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        lead = rows[rank][col]
-        for r in range(rank + 1, len(rows)):
-            if rows[r][col] != 0:
-                factor = rows[r][col] / lead
-                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[rank])]
-        rank += 1
-        if rank == 3:
-            break
-    return rank
-
-
-def test_affine_rank():
-    assert affine_rank([(1, 2, 3)]) == 0
-    assert affine_rank([(0, 0, 0), (2, 2, 2), (5, 5, 5)]) == 1
-    assert affine_rank([(0, 0, 0), (1, 0, 0), (0, 1, 0)]) == 2
-    assert affine_rank([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]) == 3
-    assert affine_rank([(3, 3, -3), (5, 5, -5)]) <= 1
+def test_are_coplanar():
+    assert are_coplanar([])
+    assert are_coplanar([(1, 2, 3)])
+    assert are_coplanar([(0, 0, 0), (2, 2, 2), (5, 5, 5), (-1, -1, -1), (2, 2, 2)])
     assert are_coplanar([(0, 0, 0), (1, 0, 0), (0, 1, 0), (5, 7, 0)])
     assert not are_coplanar([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)])
 
-    # the integer elimination agrees with rational elimination on random
+    # the normal-vector test agrees with rational elimination on random
     # point sets, built to be collinear, coplanar or general
     rng = random.Random(11)
+    ranks = set()
     for trial in range(3000):
         base = [rng.randint(-5, 5) for _ in range(3)]
         spans = [[rng.randint(-4, 4) for _ in range(3)] for _ in range(trial % 4)]
@@ -212,7 +187,10 @@ def test_affine_rank():
                     for a in range(3)
                 )
             )
-        assert affine_rank(points) == affine_rank_by_fractions(points), points
+        rank = affine_rank_by_fractions(points)
+        ranks.add(rank)
+        assert are_coplanar(points) == (rank <= 2), points
+    assert ranks == {0, 1, 2, 3}
 
 
 @settings(max_examples=25)

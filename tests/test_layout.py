@@ -1,4 +1,5 @@
 import ast
+import importlib.util
 import os
 import subprocess
 import sys
@@ -6,6 +7,10 @@ from collections import Counter
 from pathlib import Path
 
 import latticeknots
+import latticeknots.distortion
+import latticeknots.explorer
+import latticeknots.knot
+import latticeknots.reduction
 
 PACKAGE = Path(latticeknots.__file__).resolve().parent
 ROOT = Path(__file__).resolve().parent.parent
@@ -28,6 +33,31 @@ def test_no_private_imports_between_modules():
     assert found == []
 
 
+def test_traced_names_resolve():
+    # perfbench/tracing.py finds each layer's functions, and the attributes
+    # its count hooks read, by name at run time; a name deleted from src/
+    # breaks only traced benchmark runs unless it is checked here
+    spec = importlib.util.spec_from_file_location("tracing", ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = [
+        f"{layer}.{name}"
+        for layer, functions in tracing.LAYERS.items()
+        for name in functions
+        if not callable(getattr(importlib.import_module(f"latticeknots.{layer}"), name, None))
+    ]
+    assert missing == []
+    assert callable(latticeknots.explorer.enumerate_conformations)
+    read = {
+        latticeknots.distortion.DistortionReport: ["pair_count_scanned"],
+        latticeknots.reduction.IrreducibilityReport: ["witnesses"],
+        latticeknots.explorer.SearchResult: ["moves_applied"],
+        latticeknots.knot.LatticeKnot: ["edge_length", "stick_count"],
+    }
+    assert [f"{cls.__name__}.{attr}" for cls, attrs in read.items()
+            for attr in attrs if not hasattr(cls, attr)] == []
+
+
 def _import_parts(name: str) -> set[str]:
     """Every dotted component of every name that module ``name`` imports."""
     names = set()
@@ -41,10 +71,12 @@ def _import_parts(name: str) -> set[str]:
 
 def test_certificate_is_independent_of_kernel_and_oracle():
     # the certificate stands in for the oracle as the kernel's cross-check,
-    # so it may share no code with either route it is compared against
+    # so it may share no code with either route it is compared against; the
+    # oracle, the kernel's other cross-check, shares none with the kernel
     assert not _import_parts("certificate") & {"distortion", "oracle"}
     for name in ("distortion", "oracle"):
         assert "certificate" not in _import_parts(name)
+    assert "distortion" not in _import_parts("oracle")
 
 
 def _public_definitions(tree: ast.Module) -> list[tuple[ast.AST, bool]]:

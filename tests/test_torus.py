@@ -12,7 +12,7 @@ from latticeknots import (
     torus_knot,
 )
 from latticeknots.knot import StickType
-from latticeknots.lattice import affine_rank, are_coplanar
+from latticeknots.lattice import are_coplanar
 from latticeknots.reduction import Direction
 from latticeknots.torus import (
     XLevel2Report,
@@ -28,7 +28,9 @@ from latticeknots.torus import (
     verify_x_level_2,
     x_level_2_initial_vertex,
 )
-from conftest import TREFOIL_X, TREFOIL_Y, TREFOIL_Z, box, knot_steps, moved_knot
+from conftest import (
+    TREFOIL_X, TREFOIL_Y, TREFOIL_Z, affine_rank_by_fractions, box, knot_steps, moved_knot,
+)
 
 
 def test_generator_rejects_small_p():
@@ -71,7 +73,7 @@ def directed_sums(p):
     tab = generate_torus_tabulation(p)
     for t, length in zip(tab.types, tab.stick_lengths()):
         sums[t] += length
-    return sums, tab.total_length
+    return sums, sum(tab.stick_lengths())
 
 
 def test_closure_sums():
@@ -128,7 +130,7 @@ def test_partial_sum_closed_forms_have_the_lemma_properties():
         assert len(set(others)) == len(others)
         assert x.count(2) == p - 1
         # the closed-form last three x+ initials lie on one line
-        assert affine_rank([(n - p, n - p, p + n - 1) for n in (3, 2, 1)]) <= 1
+        assert affine_rank_by_fractions([(n - p, n - p, p + n - 1) for n in (3, 2, 1)]) <= 1
 
 
 def test_x_level_2_structure():
@@ -179,7 +181,7 @@ def test_final_three_x_plus_sticks():
     final_three = stick_starts(K, StickType.XP)[-3:]
     # traversal order: third-to-last, penultimate, final
     assert final_three == ((-4, -4, 9), (-5, -5, 8), (-6, -6, 7))
-    assert affine_rank(final_three) <= 1
+    assert affine_rank_by_fractions(final_three) <= 1
     assert verify_structure(7, K).failed == ()
 
 
