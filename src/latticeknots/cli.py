@@ -160,11 +160,10 @@ def cmd_export(args: argparse.Namespace) -> int:
 
 
 def cmd_survey(args: argparse.Namespace) -> int:
-    if args.max_p > SURVEY_CAP:
-        print(
-            f"error: --max-p {args.max_p} exceeds the cap {SURVEY_CAP}",
-            file=sys.stderr,
-        )
+    if not 2 <= args.max_p <= SURVEY_CAP:
+        why = ("must be at least 2" if args.max_p < 2
+               else f"{args.max_p} exceeds the cap {SURVEY_CAP}")
+        print(f"error: --max-p {why}", file=sys.stderr)
         return USAGE_ERROR
     header = (
         "p,edge_length,stick_count,delta_v"

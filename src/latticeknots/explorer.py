@@ -27,7 +27,7 @@ from .lattice import ISOMETRIES, Point
 from .reduction import (Direction, ReductionError, ReductionMove, apply_extension,
                         apply_reduction)
 
-# the census grows exponentially with length: 279,052 walks emitted at 16 edges
+# the census grows exponentially with length: 154,600 walks emitted at 16 edges
 CENSUS_CAP = 16
 
 _ENCODE = {t: i for i, t in enumerate(StickType)}
@@ -72,22 +72,14 @@ def canonical_steps(steps: Sequence[StickType]) -> tuple[int, ...]:
     return tuple(min(_images(bytes(_ENCODE[s] for s in steps))))
 
 
-def _is_least(codes: bytes) -> bool:
-    """Whether ``codes`` is its own least image: no image is smaller.
-
-    Stops at the first smaller image, so a walk that is not least costs
-    less than its canonical form.
-    """
-    return not any(image < codes for image in _images(codes))
-
-
 def _images(codes: bytes) -> Iterator[bytes]:
     """The images of ``codes`` that ``canonical_steps`` compares, one per
     isometry, orientation and start that can give the least image.
 
     For a closed walk, the images equal to the least image are exactly the
     images of the symmetries that map it to that image, so their count is
-    the order of its stabiliser.
+    the order of its stabiliser.  The walk search compares the same images
+    stick by stick while a walk grows (``_closed_walks``).
     """
     n = len(codes)
     for seq in (codes, codes[::-1]):
@@ -109,11 +101,11 @@ _DX, _DY, _DZ = zip(*(t.step for t in _DIRS))
 
 
 def _closed_walks(max_length: int, emit: Callable[[bytes], object]) -> None:
-    """Hand ``emit`` each self-avoiding closed walk of length 4..max_length
-    that could be the least image of its own class, as the depth-first
-    search completes it (in search order, not by length; no list is kept).
+    """Hand ``emit`` each class's least image among the self-avoiding closed
+    walks of length 4..max_length, once, as the depth-first search completes
+    it (in search order, not by length; no list is kept).
 
-    The least image that ``canonical_steps`` picks obeys five rules, so the
+    The least image that ``canonical_steps`` picks obeys six rules, so the
     search prunes every walk, complete or partial, that breaks one:
 
     - it opens with a run of k x+ steps and then y+: the least image starts
@@ -127,29 +119,45 @@ def _closed_walks(max_length: int, emit: Callable[[bytes], object]) -> None:
       steps.  Every completion keeps an ended stick at length k between
       the same neighbours (no stick merges across the wrap, by the rule
       above), so ``_images`` yields the same images from it: backward, all
-      known at once; forward, one more step known with each step, so they
-      stay pending until smaller (the subtree is cut) or larger (dropped).
+      known at once, so each is cut (smaller), dropped (larger) or tied
+      with every known step; forward, one more step known with each step,
+      so they stay pending until smaller (cut) or larger (dropped);
+    - no image is smaller once the walk closes.  ``_images`` reads each
+      stick of length k both ways.  The first stick read forward gives the
+      walk and its z mirror, not smaller by the z+ rule.  A later stick
+      that ended before the closing step left only larger images, pending
+      ones, equal to the walk on all but their last ``start`` steps, and
+      tied ones, equal on the ``a`` steps known when they were taken.  The
+      closing steps are read only by these and by the images from the
+      first stick read backward and the last stick (if its length is k)
+      read both ways, so the walk is least when none of them is smaller
+      (``_least_at_closure``).  No census walk to 16 edges needs the last
+      stick's forward read; it is kept because nothing here proves it
+      redundant.
 
-    Every class thus keeps its least image; a walk that obeys the rules
-    without being least is left for the caller to reject (``_is_least``).
-    A walk ends where it returns to the origin; a search from each opening
-    run of k steps stops where the origin is out of reach.
+    Every walk emitted is thus the least image of its class, and every
+    class's least image is emitted.  A walk ends where it returns to the
+    origin; a search from each opening run of k steps stops where the
+    origin is out of reach.
     """
     base = 2 * max_length + 1
 
-    def rec(x: int, y: int, z: int, run: int, seen_z: bool, pending: list) -> None:
+    def rec(x: int, y: int, z: int, run: int, seen_z: bool, pending: list, tied: list) -> None:
         if x == 0 and y == 0 and z == 0:
-            if steps[-1] != 0:
+            if steps[-1] != 0 and _least_at_closure(bytes(steps), longest, run, pending, tied):
                 emit(bytes(steps))
             return
         n = len(steps)
         last = steps[-1]
         # a run of k ends at the next step: its backward images are known
-        if run == longest and any(
-            steps[::-1].translate(image) < steps
-            for image in _LEAD_IMAGES[last, steps[n - longest - 1]]
-        ):
-            return
+        if run == longest:
+            tail = steps[::-1]
+            for image in _LEAD_IMAGES[last, steps[n - longest - 1]]:
+                mapped = tail.translate(image)
+                if mapped < steps:
+                    return
+                if mapped == steps:
+                    tied = tied + [(n, image)]  # a copy: sibling subtrees share the list
         key = (x * base + y) * base + z  # unvisited and in reach: the caller checks
         visited.add(key)
         for code in range(6) if seen_z else range(5):
@@ -175,7 +183,7 @@ def _closed_walks(max_length: int, emit: Callable[[bytes], object]) -> None:
                 if grown == 1 and run == longest:
                     ahead += ((n - longest, image) for image in _LEAD_IMAGES[last, code])
                 steps.append(code)
-                rec(nx, ny, nz, grown, seen_z or code == 4, ahead)
+                rec(nx, ny, nz, grown, seen_z or code == 4, ahead, tied)
                 steps.pop()
         visited.discard(key)
 
@@ -183,14 +191,34 @@ def _closed_walks(max_length: int, emit: Callable[[bytes], object]) -> None:
         steps = bytearray(longest) + b"\2"
         # the keys of (1, 0, 0) .. (longest, 0, 0), the opening run's points
         visited = {i * base * base for i in range(1, longest + 1)}
-        rec(longest, 1, 0, 1, False, [])
+        rec(longest, 1, 0, 1, False, [], [])
+
+
+def _least_at_closure(codes: bytes, k: int, run: int, pending: list, tied: list) -> bool:
+    """Whether no image that the sixth rule of ``_closed_walks`` leaves to
+    the closing step is smaller than the closed walk ``codes``."""
+    n, last = len(codes), codes[-1]
+    reads = [(codes[k - 1::-1] + codes[:k - 1:-1], _LEAD_IMAGES[0, last])]  # first stick back
+    if run == k:  # the last stick, backward and forward
+        reads += ((codes[::-1], _LEAD_IMAGES[last, codes[n - k - 1]]),
+                  (codes[n - k:] + codes[:n - k], _LEAD_IMAGES[last, 0]))
+    for seq, images in reads:
+        for image in images:
+            if seq.translate(image) < codes:
+                return False
+    for start, image in pending:
+        if codes[:start].translate(image) < codes[n - start:]:
+            return False
+    for a, image in tied:
+        if codes[a:][::-1].translate(image) < codes[a:]:
+            return False
+    return True
 
 
 def census_walks(max_edge_length: int) -> list[bytes]:
     """The one census pass: each class's canonical step codes, shortest
-    first, then in code order.  The walk search emits each walk once and
-    keeps every class's least image, so keeping the walks that are least
-    (rejected at their first smaller image) leaves one walk per class.  The
+    first, then in code order.  The walk search emits exactly one walk per
+    class, its least image, so every walk it emits is kept.  The
     edge-length bound must be even, at least 4, and at most ``CENSUS_CAP``.
     """
     if max_edge_length % 2 != 0 or max_edge_length < 4:
@@ -201,7 +229,7 @@ def census_walks(max_edge_length: int) -> list[bytes]:
             f"{CENSUS_CAP}"
         )
     classes: list[bytes] = []
-    _closed_walks(max_edge_length, lambda walk: _is_least(walk) and classes.append(walk))
+    _closed_walks(max_edge_length, classes.append)
     return sorted(classes, key=lambda c: (len(c), c))
 
 

@@ -28,7 +28,6 @@ from latticeknots.explorer import (
     _antipodes_apart,
     _closed_walks,
     _images,
-    _is_least,
 )
 from conftest import affine_rank_by_fractions, box, isometry_image, knot_steps, moved_knot
 
@@ -142,6 +141,12 @@ def four_rule_closed_walks(max_length: int, emit) -> None:
         rec(longest, 1, 0, 1, False)
 
 
+def _is_least(codes: bytes) -> bool:
+    """Whether ``codes`` is its own least image: no image is smaller.  The
+    reference for the walk search, which decides this itself at closure."""
+    return not any(image < codes for image in _images(codes))
+
+
 def collect(search, max_length: int) -> list[bytes]:
     walks: list[bytes] = []
     search(max_length, walks.append)
@@ -217,8 +222,9 @@ def test_pruned_walks_give_the_reference_classes():
 
 def test_pruned_walks_include_each_class_least_image():
     walks = collect(_closed_walks, 12)
-    # 3,351 before the cut at partial walks whose image is smaller
-    assert len(walks) == len(set(walks)) == 1419
+    # 3,351 before the cut at partial walks whose image is smaller, 1,419
+    # before the check at closure: now one walk per class
+    assert len(walks) == len(set(walks)) == 843
     classes = {min(_images(w)) for w in walks}
     assert len(classes) == 843
     assert classes <= set(walks)
@@ -232,7 +238,19 @@ def test_cut_at_partial_walks_drops_only_walks_that_are_not_least():
         assert set(walks) <= set(reference)
         dropped = set(reference) - set(walks)
         assert not any(_is_least(walk) for walk in dropped)
-    assert (len(reference), len(walks)) == (3351, 1419)
+    assert (len(reference), len(walks)) == (3351, 843)
+
+
+def test_walk_search_emits_exactly_the_least_walks():
+    """The search emits, in its own order, exactly the walks of the four-rule
+    search that are their class's least image: none is missing, none is
+    extra, none twice."""
+    for length in range(4, 13, 2):
+        least = [w for w in collect(four_rule_closed_walks, length) if w == min(_images(w))]
+        walks = collect(_closed_walks, length)
+        assert walks == least
+        assert len(walks) == len(set(walks))
+    assert len(collect(_closed_walks, 14)) == 10603
 
 
 def test_is_least_agrees_with_the_canonical_form():
@@ -418,6 +436,25 @@ def test_antipodal_test_reads_the_vertex_distances():
                 for i in range(half)
             )
             assert _antipodes_apart(image) == apart
+
+
+def test_gap_lemma_and_least_distortion_per_length(census_fourteen):
+    """For n >= 8 some window of n/2 steps holds a step and its opposite, so
+    that antipodal pair is at most n/2 - 2 apart (an l1 distance has the
+    parity of its arc) and the distortion is at least n/(n - 4).  The census
+    reaches that bound at 8, 10 and 12 edges and not at 14."""
+    least = {}
+    at_bound = Counter()
+    for codes, _, value in census_fourteen:
+        n = len(codes)
+        least[n] = min(least.get(n, value), value)
+        if n >= 8:
+            assert value >= Fraction(n, n - 4)
+            at_bound[n] += value == Fraction(n, n - 4)
+    assert least == {
+        4: 1, 6: 1, 8: 2, 10: Fraction(5, 3), 12: Fraction(3, 2), 14: Fraction(3, 2)
+    }
+    assert [at_bound[n] for n in (8, 10, 12, 14)] == [3, 1, 1, 0]
 
 
 def test_classification_is_the_kernel_only_reference(census_fourteen):

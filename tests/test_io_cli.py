@@ -1016,6 +1016,14 @@ def test_cli_survey_cap(capsys):
     assert "cap" in err
 
 
+def test_cli_survey_refuses_max_p_below_two(capsys):
+    # as generate --p 1 does: no family member has p < 2, so no table
+    for max_p in ("1", "0", "-3"):
+        code, out, err = run_cli(capsys, "survey", "--max-p", max_p)
+        assert (code, out) == (2, "")
+        assert err == "error: --max-p must be at least 2\n"
+
+
 def test_cli_enumerate(capsys):
     code, out, _ = run_cli(capsys, "enumerate", "--max-length", "8")
     assert code == 0

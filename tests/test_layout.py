@@ -58,6 +58,30 @@ def test_traced_names_resolve():
             for attr in attrs if not hasattr(cls, attr)] == []
 
 
+def test_every_private_top_level_name_is_used_in_src():
+    # code with no caller is deleted: a private function or class defined at
+    # the top level of a module is named, called or imported somewhere in
+    # src/, not only by the tests, the demos or the benchmark's tracer
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    used = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name)
+    unused = [
+        f"{name}: {node.name}"
+        for name, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name.startswith("_") and node.name not in used
+    ]
+    assert unused == []
+
+
 def _import_parts(name: str) -> set[str]:
     """Every dotted component of every name that module ``name`` imports."""
     names = set()
