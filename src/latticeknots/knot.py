@@ -28,6 +28,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 from .lattice import AXES, AXIS_NAMES, Point
 
 MAX_POINTS = 2_000_000  # the most points or pairs listed; see TooManyPoints
+ALL_PAIRS = 24  # the most sticks a knot or a plane tests pair by pair; see LatticeKnot
 
 
 class KnotError(Exception):
@@ -239,9 +240,13 @@ def _lying_planes(sticks: Sequence[Stick]) -> dict[tuple[int, int], list[int]]:
 
 
 def _plane_pairs(sticks: list[Stick], owned: list[tuple]) -> Iterator[tuple[int, int]]:
-    """The pairs of sticks that lie in one plane and overlap along the axis
-    that plane's sticks span least: each plane is swept along that axis."""
+    """The pairs of sticks that lie in one plane: every pair in a plane of at
+    most ``ALL_PAIRS`` sticks, and in a larger one those that overlap along
+    the axis its sticks span least, found by sweeping the plane along it."""
     for (axis, _), group in _lying_planes(sticks).items():
+        if len(group) <= ALL_PAIRS:
+            yield from combinations(group, 2)
+            continue
         a = min(_ACROSS[axis], key=lambda k: sum(owned[i][k + 3] - owned[i][k] for i in group))
         group.sort(key=lambda i: owned[i][a])
         for k, i in enumerate(group):
@@ -304,13 +309,13 @@ class LatticeKnot:
             owned.append(p + last if p < q else last + p)
             start += length
 
-        # up to 84 sticks, all pairs cost less than grouping by plane; the whole
-        # constructor, best of 7 (Python 3.11, 2-vCPU x86-64): torus p = 3 (18
-        # sticks) 27 against 63 us, p = 14 (84) 285 against 299 us, p = 15 (90)
-        # 328 against 316 us, p = 18 (108) 459 against 398 us; the benchmark's 32
-        # dilated knots of <= 18 sticks 0.55 against 1.35 ms
+        # all pairs against pairs by plane, whole constructor, best of 7 (Python 3.11,
+        # 2-vCPU x86-64): torus p = 3 (18 sticks) 30.0 against 30.9 us, p = 4 (24) 41.4
+        # against 40.9, p = 5 (30) 57 against 51, p = 18 (108) 514 against 231; 75 dilated
+        # knots of <= 18 sticks 1.14 against 1.55 ms; a 31-stick planar serpentine 89.6
+        # against 63.2 when its plane is swept
         m = len(sticks)
-        pairs = combinations(range(m), 2) if m <= 84 else _plane_pairs(sticks, owned)
+        pairs = combinations(range(m), 2) if m <= ALL_PAIRS else _plane_pairs(sticks, owned)
         hits = [
             (a, b)
             for a, b in pairs

@@ -15,7 +15,7 @@ and are validated by checking the time-reversed reduction on the result.
 from __future__ import annotations
 
 import enum
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .knot import LatticeKnot, SelfIntersection
 from .lattice import Point
@@ -130,34 +130,25 @@ def _rebuild(K: LatticeKnot, plan: _Plan, amount: int) -> LatticeKnot:
     return LatticeKnot((stick.type for stick in K.sticks), lengths, origin)
 
 
-def _first_collision(
-    K: LatticeKnot, plan: _Plan, limit: int
-) -> tuple[int, Point, tuple[int, int]] | None:
-    """The first collision of a slide by up to ``limit``, or None if clear.
+def _blocks(K: LatticeKnot, plan: _Plan, limit: int) -> Iterator[tuple[int, int, int]]:
+    """``(offset, rank, static stick)`` for each static stick that blocks the
+    ``rank``-th translating stick, first at ``offset``, where that is at most
+    ``limit`` and every offset yielded before: all those blocking at the least.
 
-    Returns ``(offset, point, (moving stick, static stick))`` for the smallest
-    offset in 1..limit at which a translating stick meets a static stick.
     Sweeping the translating sticks is the only freedom in the motion; the
     shrinking target and absorber stay inside their original segments, so
-    they cannot produce new intersections on the way.
-
-    Two axis-parallel lattice segments meet iff their boxes overlap on every
-    axis, and the overlap then holds a lattice point.  A translating stick is
-    perpendicular to the slide, so each static stick either never meets it
-    or blocks one interval of offsets, read off the slide axis.  A stick
-    running along ``run`` sweeps the plane where the third axis ``fixed``
-    holds its start's coordinate, so only the sticks whose box holds that
-    coordinate are visited, read from the knot's plane index (built once
-    per knot and shared by all its slides), and those past the best offset
-    so far are skipped.  Ties at the least offset go to the earlier stick
-    in ``plan.translating``, then to the point nearest its start, then to
-    the higher static index: the order of a sweep that shifts every point
-    of every translating stick, offset by offset.
+    they cannot produce new intersections on the way.  Two axis-parallel
+    lattice segments meet iff their boxes overlap on every axis, and the
+    overlap then holds a lattice point.  A translating stick is perpendicular
+    to the slide, so each static stick either never meets it or blocks one
+    interval of offsets, read off the slide axis.  A stick running along
+    ``run`` sweeps the plane where the third axis ``fixed`` holds its start's
+    coordinate, so only the sticks whose box holds that coordinate are
+    visited, read from the knot's plane index, which all its slides share.
     """
     axis = K.sticks[plan.target].type.axis
     sign = plan.delta[axis]
     moving = {plan.target, plan.absorber, *plan.translating}
-    best = None
     for rank, idx in enumerate(plan.translating):
         stick = K.sticks[idx]
         start, lo, hi = stick.start_point, stick.lo, stick.hi
@@ -171,18 +162,43 @@ def _first_collision(
             if sign < 0:
                 near, far = far, near
             k = near if near > 1 else 1
-            if k > far or k > limit:
-                continue
-            meet = min(max(start[run], s_lo[run]), s_hi[run])
-            key = (k, rank, abs(meet - start[run]), -s_idx, idx, meet)
-            if best is None or key < best:
-                best, limit = key, k
-    if best is None:
-        return None
-    k, _, _, s_idx, idx, meet = best
-    point = list(_shift(K.sticks[idx].start_point, plan.delta, k))
-    point[K.sticks[idx].type.axis] = meet
-    return k, tuple(point), (idx, -s_idx)
+            if k <= far and k <= limit:
+                limit = k
+                yield k, rank, s_idx
+
+
+def _least_offset(K: LatticeKnot, plan: _Plan, limit: int) -> int:
+    """The least offset in 1..limit that blocks the slide, else ``limit + 1``."""
+    least = limit + 1
+    for least, _, _ in _blocks(K, plan, limit):
+        if least == 1:
+            break
+    return least
+
+
+def _first_collision(
+    K: LatticeKnot, plan: _Plan, limit: int
+) -> tuple[int, Point, tuple[int, int]] | None:
+    """The first collision of a slide by up to ``limit``, or None if clear.
+
+    Returns ``(offset, point, (moving stick, static stick))`` for the smallest
+    offset in 1..limit at which a translating stick meets a static stick.
+    Ties at the least offset go to the earlier stick in ``plan.translating``,
+    then to the point nearest its start, then to the higher static index:
+    the order of a sweep that shifts every point of every translating stick,
+    offset by offset.  Only moves that raise CollisionDetected need this:
+    ``max_reduction_amount`` (so ``is_irreducible``) and
+    ``sweep_criterion_blocks`` read the offset alone from ``_least_offset``.
+    """
+    best = None
+    for k, rank, s_idx in _blocks(K, plan, limit):
+        idx = plan.translating[rank]
+        start, run, static = K.sticks[idx].start_point, K.sticks[idx].type.axis, K.sticks[s_idx]
+        point = list(_shift(start, plan.delta, k))
+        point[run] = min(max(start[run], static.lo[run]), static.hi[run])
+        key = (k, rank, abs(point[run] - start[run]), -s_idx, tuple(point), (idx, s_idx))
+        best = key if best is None or key < best else best
+    return None if best is None else (best[0], best[4], best[5])
 
 
 def apply_reduction(K: LatticeKnot, move: ReductionMove) -> LatticeKnot:
@@ -244,10 +260,7 @@ def max_reduction_amount(K: LatticeKnot, stick_index: int, direction: Direction)
     except NonReducingMove:
         return 0
     cap = min(K.sticks[plan.target].length, K.sticks[plan.absorber].length) - 1
-    if cap < 1:
-        return 0
-    collision = _first_collision(K, plan, cap)
-    return cap if collision is None else collision[0] - 1
+    return _least_offset(K, plan, cap) - 1 if cap > 0 else 0
 
 
 class IrreducibilityReport(NamedTuple):
@@ -264,6 +277,8 @@ def is_irreducible(K: LatticeKnot) -> IrreducibilityReport:
     """Exhaustively test every stick in both directions.
 
     The 2m slides share the knot's plane index, built on the first slide.
+    Each reads only its least blocking offset (``max_reduction_amount``),
+    so it stops at the first static stick that blocks at offset 1.
     """
     witnesses = []
     for idx in range(len(K.sticks)):
@@ -291,4 +306,4 @@ def sweep_criterion_blocks(
         plan = _plan_move(K, stick_index, direction)
     except NonReducingMove:
         return False
-    return _first_collision(K, plan, 1) is not None
+    return _least_offset(K, plan, 1) == 1

@@ -295,6 +295,20 @@ def test_kernel_matches_all_pairs_reference():
             assert len(found) == len(report.realizing_pairs), K
 
 
+def test_gap_lemma_beyond_the_census():
+    """For n >= 8 some window of n/2 steps holds a step and its opposite, so
+    the distortion is at least n/(n - 4), on knots far past the census."""
+    rng = random.Random(17)
+    knots = [random_lattice_knot(rng, 60) for _ in range(300)] + dilated_knots()
+    checked = 0
+    for K in knots:
+        n = K.edge_length
+        if n >= 8:
+            assert distortion.distortion_value(K) >= Fraction(n, n - 4), K
+            checked += 1
+    assert checked > 300
+
+
 def test_value_one_test_stops_at_the_same_decision_as_the_value():
     """The structure check refuses a knot at the first stick pair the value
     pass bounds above 1; that decides exactly what the value does."""

@@ -20,7 +20,7 @@ from latticeknots import (
     random_lattice_knot,
 )
 from latticeknots.io import knot_to_vertex_csv
-from latticeknots.knot import MAX_POINTS, TooManyPoints
+from latticeknots.knot import ALL_PAIRS, MAX_POINTS, TooManyPoints
 from conftest import (
     TREFOIL_TYPES,
     TREFOIL_X,
@@ -169,11 +169,12 @@ def _random_walks(rng, count):
 
 
 def _crossing_torus_walks(rng):
-    """Torus walks of 90 to 108 sticks, past the constructor's all-pairs
-    cut-over of 84, most made to cross: a stick and the next stick opposite
-    it grow by the same amount, which keeps the walk closed and shifts the
-    arc between them."""
-    for p in range(15, 19):
+    """Torus walks of 24 to 108 sticks, at and past the constructor's
+    all-pairs cut-over, some with a plane of more than ``ALL_PAIRS`` sticks
+    (p >= 14), most made to cross: a stick and the next stick opposite it
+    grow by the same amount, which keeps the walk closed and shifts the arc
+    between them."""
+    for p in (4, 5, 6, 14, 18):
         tab = generate_torus_tabulation(p)
         types, m = tab.types, len(tab.types)
         for _ in range(10):
@@ -212,8 +213,39 @@ def test_constructor_matches_point_reference_on_random_walks():
             assert _outcome(lambda: knot_from_vertices(corners)) == expected
         simple += expected[0] is not SelfIntersection and expected[0] is not NotClosed
         revisits += expected[0] is SelfIntersection
-        past_cut_over += expected[0] is SelfIntersection and len(types) > 84
+        past_cut_over += expected[0] is SelfIntersection and len(types) > ALL_PAIRS
     assert simple > 500 and revisits > 4000 and past_cut_over > 20
+
+
+def _serpentine(rows, cross):
+    """A walk in the plane z = 0 from (0, rows, 0) down ``rows`` rows of width
+    3, run back and forth one below the other, and back up a column at
+    x = -1.  With ``cross`` the first row comes in from x = -2, through the
+    column at one point, round the column's top.  The sweep runs along y,
+    and the column's points end at y = rows - 1, where that row lies."""
+    types, lengths = [StickType.XM, StickType.YM, StickType.XP], [1, rows, 1]
+    for r in range(rows):
+        types += [StickType.XP if r % 2 == 0 else StickType.XM, StickType.YP]
+        lengths += [3, 1]
+    if cross:
+        lengths[-2:] = [5, 2]
+        types += [StickType.XP, StickType.YM]
+        lengths += [2, 1]
+    return [t.opposite for t in reversed(types)], lengths[::-1]
+
+
+@pytest.mark.parametrize("cross", [False, True])
+def test_constructor_sweeps_a_plane_of_a_thousand_sticks(cross):
+    # every stick lies in z = 0, so past ALL_PAIRS sticks that plane is swept
+    types, lengths = _serpentine(520, cross)
+    assert len(types) > 1000
+    steps, origin = _unit_steps(types, lengths), (0, 520, 0)
+    expected = _outcome(lambda: reference_knot(steps, origin))
+    assert _outcome(lambda: LatticeKnot(types, lengths, origin)) == expected
+    if cross:
+        assert expected[0] is SelfIntersection and expected[2] == (-1, 519, 0)
+    else:
+        assert {s.start_point[2] for s in expected[2]} == {0}
 
 
 def test_constructor_matches_point_reference_on_knot_corpora():

@@ -24,9 +24,12 @@ from latticeknots import (
     sweep_criterion_blocks,
     torus_knot,
 )
+from latticeknots import reduction
 from latticeknots.io import knot_to_vertex_csv
 from latticeknots.lattice import l1_distance
-from latticeknots.reduction import _first_collision, _plan_move, _rebuild, _shift
+from latticeknots.reduction import (
+    _first_collision, _least_offset, _plan_move, _rebuild, _shift,
+)
 from conftest import is_reducible, knot_steps
 from test_distortion import dilated_knots
 
@@ -243,6 +246,18 @@ def test_max_amount_matches_rebuild_reference():
     assert reducible > 0
 
 
+def test_is_irreducible_asks_max_reduction_amount_once_per_slide(monkeypatch):
+    # the traced reduction.max_reduction_amount.calls counter wraps the
+    # module-level function, so is_irreducible must reach it by that name
+    K = torus_knot(3)
+    calls = []
+    monkeypatch.setattr(reduction, "max_reduction_amount",
+                        lambda *args: calls.append(args) or max_reduction_amount(*args))
+    report = is_irreducible(K)
+    assert calls == [(K, idx, d) for idx in range(K.stick_count) for d in Direction]
+    assert report.irreducible
+
+
 def test_collision_reported_at_smallest_offset():
     # (1, 2, 3) on sticks (4, 14) also blocks this move, but only at offset 2
     with pytest.raises(CollisionDetected) as exc:
@@ -301,8 +316,11 @@ def test_box_sweep_matches_point_sweep():
                 fresh = LatticeKnot(steps, [1] * K.edge_length, K.origin)
                 for limit in range(1, cap + 3):
                     expected = first if first and first[0] <= limit else None
+                    least = expected[0] if expected else limit + 1
                     assert _first_collision(fresh, plan, limit) == expected
                     assert _first_collision(K, plan, limit) == expected
+                    assert _least_offset(fresh, plan, limit) == least
+                    assert _least_offset(K, plan, limit) == least
                     collisions += expected is not None
     assert collisions > 0
 
